@@ -8,7 +8,7 @@
 //   $ ./bacnet_gateway
 #include <cstdio>
 
-#include "bas/minix_scenario.hpp"
+#include "bas/temp_scenario.hpp"
 #include "net/bacnet.hpp"
 
 namespace bas = mkbas::bas;

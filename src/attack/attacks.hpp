@@ -3,9 +3,7 @@
 #include <functional>
 #include <string>
 
-#include "bas/linux_scenario.hpp"
-#include "bas/minix_scenario.hpp"
-#include "bas/sel4_scenario.hpp"
+#include "bas/temp_scenario.hpp"
 
 namespace mkbas::attack {
 

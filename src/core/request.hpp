@@ -85,7 +85,7 @@ bool parse_request_mode(const std::string& s, RequestMode* out);
 /// The wire spelling of a platform ("minix"/"sel4"/"linux") — what
 /// parse_platform accepts and what canonical JSON must therefore emit.
 /// bas::to_string() gives the display label ("MINIX3+ACM") instead.
-const char* platform_name(bas::Platform p);
+using bas::platform_name;
 
 /// The canonical experiment request: one plain value type naming every
 /// deterministic input of every runner mode. CLI flags and HTTP bodies

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "bas/bsl3_scenario.hpp"
-#include "bas/bsl3_sel4_scenario.hpp"
 
 namespace bas = mkbas::bas;
 namespace sim = mkbas::sim;

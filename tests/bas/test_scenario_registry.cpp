@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "bas/scenario.hpp"
@@ -70,20 +69,4 @@ TEST(ScenarioRegistry, VariantListingIsSortedPerPlatform) {
   bool has_temp = false;
   for (const auto& v : linux_variants) has_temp |= (v == "temp");
   EXPECT_TRUE(has_temp);
-}
-
-TEST(ScenarioRegistry, RuntimeRegistrationExtendsTheTable) {
-  struct Probe {
-    static std::unique_ptr<bas::Scenario> make(sim::Machine& m,
-                                               const bas::ScenarioConfig&) {
-      // Piggyback on a built-in: the registry only cares that the factory
-      // signature matches.
-      return bas::make_scenario(m, Platform::kLinux, "temp");
-    }
-  };
-  bas::register_scenario(Platform::kLinux, "test-probe", &Probe::make);
-  sim::Machine m(7);
-  auto sc = bas::make_scenario(m, Platform::kLinux, "test-probe");
-  ASSERT_NE(sc, nullptr);
-  EXPECT_EQ(sc->platform(), Platform::kLinux);
 }
