@@ -100,6 +100,90 @@ end TempControl.impl;
 )AADL";
 }
 
+/// The BSL-3 containment suite (the "Biosafety Level 3 Lab" of Fig. 1):
+/// pressure transmitters, the containment controller, exhaust fan, door
+/// and alarm drivers, and the untrusted management console. Compiled into
+/// the ACM for the MINIX build and into the CAmkES assembly for the seL4
+/// build, exactly like the temperature scenario.
+inline const char* bsl3_aadl() {
+  return R"AADL(
+process PresSensProcess
+  features presOut : out event data port Pressure;
+end PresSensProcess;
+
+process ContCtlProcess
+  features
+    presIn    : in event data port Pressure;
+    fanCmd    : out event data port FanSpeed;
+    doorCmd   : out event data port DoorCmd;
+    alarmCmd  : out event data port AlarmCmd;
+    doorReqIn : in event data port DoorReq;
+    envIn     : in event data port EnvQuery;
+end ContCtlProcess;
+
+process ExhaustFanProcess
+  features cmdIn : in event data port FanSpeed;
+end ExhaustFanProcess;
+
+process DoorCtlProcess
+  features cmdIn : in event data port DoorCmd;
+end DoorCtlProcess;
+
+process AlarmProcess
+  features cmdIn : in event data port AlarmCmd;
+end AlarmProcess;
+
+process MgmtProcess
+  features
+    doorReq  : out event data port DoorReq;
+    envQuery : out event data port EnvQuery;
+end MgmtProcess;
+
+process implementation PresSensProcess.imp
+  properties MKBAS::ac_id => 110;
+end PresSensProcess.imp;
+process implementation ContCtlProcess.imp
+  properties MKBAS::ac_id => 111;
+end ContCtlProcess.imp;
+process implementation ExhaustFanProcess.imp
+  properties MKBAS::ac_id => 112;
+end ExhaustFanProcess.imp;
+process implementation DoorCtlProcess.imp
+  properties MKBAS::ac_id => 113;
+end DoorCtlProcess.imp;
+process implementation AlarmProcess.imp
+  properties MKBAS::ac_id => 114;
+end AlarmProcess.imp;
+process implementation MgmtProcess.imp
+  properties MKBAS::ac_id => 115;
+end MgmtProcess.imp;
+
+system Bsl3 end Bsl3;
+system implementation Bsl3.impl
+  subcomponents
+    presSensProc   : process PresSensProcess.imp;
+    contCtlProc    : process ContCtlProcess.imp;
+    exhaustFanProc : process ExhaustFanProcess.imp;
+    doorCtlProc    : process DoorCtlProcess.imp;
+    alarmProc      : process AlarmProcess.imp;
+    mgmtProc       : process MgmtProcess.imp;
+  connections
+    c_pres  : port presSensProc.presOut -> contCtlProc.presIn
+              { MKBAS::m_type => 1; };
+    c_fan   : port contCtlProc.fanCmd -> exhaustFanProc.cmdIn
+              { MKBAS::m_type => 1; };
+    c_door  : port contCtlProc.doorCmd -> doorCtlProc.cmdIn
+              { MKBAS::m_type => 1; };
+    c_alarm : port contCtlProc.alarmCmd -> alarmProc.cmdIn
+              { MKBAS::m_type => 1; };
+    c_req   : port mgmtProc.doorReq -> contCtlProc.doorReqIn
+              { MKBAS::m_type => 2; };
+    c_env   : port mgmtProc.envQuery -> contCtlProc.envIn
+              { MKBAS::m_type => 3; };
+end Bsl3.impl;
+)AADL";
+}
+
 /// Canonical ac_ids of the scenario (§IV).
 struct ScenarioAcIds {
   static constexpr int kTempSensor = 100;
