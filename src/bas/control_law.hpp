@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <optional>
 
 #include "sim/time.hpp"
@@ -68,9 +69,11 @@ class TempControlLogic {
     return {heater_on_, alarm_on_};
   }
 
-  /// Admin setpoint update; rejected outside the predefined range.
+  /// Admin setpoint update; rejected outside the predefined range (and
+  /// when not a number at all: NaN fails both range comparisons).
   bool try_set_setpoint(double sp_c, sim::Time now) {
-    if (sp_c < cfg_.setpoint_min_c || sp_c > cfg_.setpoint_max_c) {
+    if (!std::isfinite(sp_c) || sp_c < cfg_.setpoint_min_c ||
+        sp_c > cfg_.setpoint_max_c) {
       return false;
     }
     setpoint_ = sp_c;

@@ -53,6 +53,16 @@ void schedule_benign_workload(sim::Machine& m, net::HttpConsole& http,
 
 constexpr sim::Duration kBenignEnd = sim::minutes(60);
 
+/// The temperature plant the experiment drives; a variant without one
+/// (bsl3) cannot run it.
+bas::Plant& plant_of(bas::Scenario& sc, const char* driver) {
+  if (sc.plant() == nullptr) {
+    throw std::invalid_argument(std::string(driver) +
+                                ": scenario variant has no temperature plant");
+  }
+  return *sc.plant();
+}
+
 }  // namespace
 
 BenignRun run_benign(Platform platform, const RunOptions& opts) {
@@ -62,14 +72,10 @@ BenignRun run_benign(Platform platform, const RunOptions& opts) {
 
   auto sc = bas::make_scenario(m, platform, opts.scenario_variant,
                                effective_config(platform, opts));
-  bas::Plant* plant = sc->plant();
-  if (plant == nullptr) {
-    throw std::invalid_argument(
-        "run_benign: scenario variant has no temperature plant");
-  }
-  schedule_benign_workload(m, sc->http(), *plant);
+  bas::Plant& plant = plant_of(*sc, "run_benign");
+  schedule_benign_workload(m, sc->http(), plant);
   m.run_until(kBenignEnd);
-  run.history = plant->coupler->history();
+  run.history = plant.coupler->history();
   run.http = sc->http().exchanges();
   run.safety =
       check_safety(run.history, m.trace(), opts.scenario.control, kBenignEnd,
@@ -105,10 +111,11 @@ AttackRow run_attack(Platform platform, AttackKind kind, Privilege priv,
   }
 
   auto sc = bas::make_scenario(m, platform, opts.scenario_variant, cfg);
+  bas::Plant& plant = plant_of(*sc, "run_attack");
   sc->arm_attack(attack_at,
                  attack::make_attack(platform, kind, priv, &row.outcome));
   m.run_until(run_end);
-  row.safety = check_safety(sc->plant()->coupler->history(), m.trace(),
+  row.safety = check_safety(plant.coupler->history(), m.trace(),
                             opts.scenario.control, run_end,
                             opts.scenario.sensor_period);
   if (opts.observe) opts.observe(m);
@@ -222,7 +229,8 @@ FaultRunResult run_fault(Platform platform, const fault::FaultPlan& plan,
   }
 
   auto sc = bas::make_scenario(m, platform, opts.scenario_variant, cfg);
-  injector.register_sensor(&sc->plant()->sensor);
+  bas::Plant& plant = plant_of(*sc, "run_fault");
+  injector.register_sensor(&plant.sensor);
   injector.arm();
   if (spoof_probe_at >= 0) {
     sc->arm_attack(spoof_probe_at,
@@ -231,7 +239,7 @@ FaultRunResult run_fault(Platform platform, const fault::FaultPlan& plan,
   }
   m.run_until(run_end);
   res.restarts = sc->restarts();
-  analyse_fault_run(res, m, *sc->plant(), opts, run_end);
+  analyse_fault_run(res, m, plant, opts, run_end);
   res.faults_injected = injector.injected();
   return res;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sim/rng.hpp"
 
 namespace bas = mkbas::bas;
@@ -81,6 +84,19 @@ TEST(ControlLaw, SetpointOutsideRangeRejected) {
   EXPECT_FALSE(logic.try_set_setpoint(45.0, 0));
   EXPECT_FALSE(logic.try_set_setpoint(5.0, 0));
   EXPECT_DOUBLE_EQ(logic.setpoint(), 22.0);  // unchanged
+}
+
+TEST(ControlLaw, NonFiniteSetpointRejected) {
+  // NaN fails both range comparisons; it must still be refused, or the
+  // heater never switches on again (every "t < NaN" is false).
+  TempControlLogic logic;
+  EXPECT_FALSE(logic.try_set_setpoint(std::nan(""), 0));
+  EXPECT_FALSE(logic.try_set_setpoint(
+      std::numeric_limits<double>::infinity(), 0));
+  EXPECT_FALSE(logic.try_set_setpoint(
+      -std::numeric_limits<double>::infinity(), 0));
+  EXPECT_DOUBLE_EQ(logic.setpoint(), 22.0);
+  EXPECT_TRUE(logic.on_sample(5.0, sim::sec(1)).heater_on);
 }
 
 TEST(ControlLaw, SetpointChangeRestartsAlarmTimer) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "core/experiment.hpp"
 
@@ -173,4 +174,37 @@ TEST(BenignScenario, MinixWithQuotasWorksBenignly) {
   const auto run = core::run_benign(Platform::kMinix, opts);
   EXPECT_TRUE(run.safety.control_alive);
   EXPECT_FALSE(run.safety.alarm_violation);
+}
+
+TEST(BenignScenario, NanSetpointLeavesTheSetpointUnchangedOnEveryBinding) {
+  // "value=nan" parses as a number; every binding must hand it to the
+  // controller, which must refuse it: the setpoint stays 22.0 in /status
+  // and the refusal is traced.
+  const std::pair<Platform, const char*> bindings[] = {
+      {Platform::kMinix, "temp"},
+      {Platform::kSel4, "temp"},
+      {Platform::kLinux, "temp"},
+      {Platform::kLinux, "uds"}};
+  for (const auto& [platform, variant] : bindings) {
+    mkbas::sim::Machine m;
+    auto sc = mkbas::bas::make_scenario(m, platform, variant);
+    m.at(sim::sec(60), [&] {
+      sc->http().submit(m.now(), {"POST", "/setpoint", "value=nan"});
+    });
+    m.at(sim::sec(90), [&] {
+      sc->http().submit(m.now(), {"GET", "/status", ""});
+    });
+    m.run_until(sim::minutes(2));
+    const auto& ex = sc->http().exchanges();
+    ASSERT_EQ(ex.size(), 2u) << variant;
+    EXPECT_EQ(ex[1].response.status, 200) << variant;
+    EXPECT_NE(ex[1].response.body.find("setpoint=22.0"), std::string::npos)
+        << mkbas::bas::to_string(platform) << "/" << variant << ": "
+        << ex[1].response.body;
+    bool rejected = false;
+    for (const auto& e : m.trace().events()) {
+      rejected |= e.what() == "ctl.setpoint_rejected";
+    }
+    EXPECT_TRUE(rejected) << mkbas::bas::to_string(platform) << "/" << variant;
+  }
 }

@@ -4,10 +4,12 @@
 // errors, and the CLI adapter's equivalence with direct construction.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/cli.hpp"
+#include "core/experiment.hpp"
 #include "core/jsonv.hpp"
 #include "core/request.hpp"
 
@@ -219,6 +221,41 @@ TEST(RequestParse, ValidationRunsAfterParsing) {
   EXPECT_NE(parse_error("{\"zones\":0}").find("'zones'"), std::string::npos);
   EXPECT_NE(parse_error("{\"format\":\"yaml\"}").find("'format'"),
             std::string::npos);
+}
+
+TEST(RequestParse, ScenarioWithoutAPlantIsRejected) {
+  // benign, attack and fault drive the temperature plant: a variant
+  // without one (bsl3) or no variant at all must not reach a worker.
+  const std::string bsl3 = parse_error(
+      "{\"attack\":\"kill\",\"mode\":\"attack\",\"platform\":\"minix\","
+      "\"scenario\":\"bsl3\"}");
+  EXPECT_NE(bsl3.find("'scenario'"), std::string::npos) << bsl3;
+  EXPECT_NE(bsl3.find("temp"), std::string::npos) << bsl3;
+  const std::string bogus = parse_error("{\"scenario\":\"bogus\"}");
+  EXPECT_NE(bogus.find("'scenario'"), std::string::npos) << bogus;
+  EXPECT_NE(parse_error("{\"mode\":\"fault\",\"platform\":\"sel4\","
+                        "\"scenario\":\"uds\"}")
+                .find("'scenario'"),
+            std::string::npos);
+  // Registered temperature variants stay valid; modes that never build
+  // the request's scenario ignore it.
+  parse_or_die("{\"platform\":\"linux\",\"scenario\":\"uds\"}");
+  parse_or_die("{\"mode\":\"fabric\",\"scenario\":\"bsl3\"}");
+}
+
+TEST(RequestDrivers, PlantlessVariantThrowsInsteadOfCrashing) {
+  core::RunOptions opts;
+  opts.scenario_variant = "bsl3";
+  opts.settle = mkbas::sim::sec(1);
+  opts.post = mkbas::sim::sec(1);
+  EXPECT_THROW(core::run_attack(core::Platform::kMinix,
+                                mkbas::attack::AttackKind::kKillControl,
+                                mkbas::attack::Privilege::kCodeExec, opts),
+               std::invalid_argument);
+  EXPECT_THROW(core::run_fault(core::Platform::kSel4,
+                               mkbas::fault::reference_sensor_crash_plan(),
+                               opts),
+               std::invalid_argument);
 }
 
 TEST(RequestParse, DefaultsApplyForAbsentFields) {

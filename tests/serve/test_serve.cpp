@@ -206,6 +206,28 @@ TEST(Daemon, InvalidModeCombinationIs400NotACell) {
   EXPECT_EQ(d.store().size(), 0u);
 }
 
+TEST(Daemon, ScenarioWithoutAPlantIs400AndTheDaemonStaysUp) {
+  serve::DaemonOptions opts;
+  opts.port = 0;
+  opts.jobs = 1;
+  serve::Daemon d(opts);
+  std::string err;
+  ASSERT_TRUE(d.start(&err)) << err;
+  for (const char* body :
+       {"{\"attack\":\"kill\",\"mode\":\"attack\",\"platform\":\"minix\","
+        "\"scenario\":\"bsl3\"}",
+        "{\"scenario\":\"bogus\"}"}) {
+    auto r = d.handle(make_req("POST", "/run", body));
+    EXPECT_EQ(r.status, 400) << body;
+    EXPECT_TRUE(contains(r.body, "scenario")) << r.body;
+  }
+  EXPECT_EQ(d.store().size(), 0u);
+  auto status = d.handle(make_req("GET", "/status"));
+  EXPECT_EQ(status.status, 200);
+  EXPECT_TRUE(contains(status.body, "\"executions\":0")) << status.body;
+  d.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Full loopback exercise over real sockets.
 
