@@ -63,14 +63,8 @@ int usage() {
   return 2;
 }
 
-void write_file_warn(const std::string& path, const std::string& text) {
-  std::ofstream f(path);
-  f << text << "\n";
-  if (!f) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-  }
-}
-
+/// Print `text` when `path` is empty, else write it there. False (after
+/// a warning) when the file cannot be written.
 bool write_or_print(const std::string& path, const std::string& text) {
   if (path.empty()) {
     std::printf("%s\n", text.c_str());
@@ -88,7 +82,7 @@ bool write_or_print(const std::string& path, const std::string& text) {
 int run_serve(const core::CliArgs& args) {
   serve::DaemonOptions opts;
   opts.port = args.port;
-  opts.jobs = args.jobs;
+  opts.jobs = args.request.jobs;
   opts.batch = args.batch;
   opts.tracing = !args.no_trace;
   opts.slow_ms = args.slow_ms;
@@ -134,7 +128,9 @@ int main(int argc, char** argv) {
   // Artifact placement: each requested kind goes to its --*-out path.
   // The summary prints to stdout when --out was not given — matrix and
   // benign historically printed only their tables, so the summary stays
-  // file-only there unless asked for explicitly.
+  // file-only there unless asked for explicitly. A file that cannot be
+  // written fails the run (exit 1) once the others are written.
+  bool unwritten = false;
   for (int k = 0; k < core::kArtifactKinds; ++k) {
     const auto kind = static_cast<core::ArtifactKind>(k);
     const std::string& path = req.artifacts[kind];
@@ -152,7 +148,7 @@ int main(int argc, char** argv) {
           req.mode != core::RequestMode::kMatrix &&
           req.mode != core::RequestMode::kFault;
       if (text != nullptr && (print_summary || !path.empty())) {
-        if (!write_or_print(path, *text)) resp.exit_code = 1;
+        unwritten |= !write_or_print(path, *text);
       }
       continue;
     }
@@ -162,7 +158,7 @@ int main(int argc, char** argv) {
                    core::to_string(req.mode), name, path.c_str());
       continue;
     }
-    write_file_warn(path, *text);
+    unwritten |= !write_or_print(path, *text);
   }
-  return resp.exit_code;
+  return unwritten ? 1 : resp.exit_code;
 }

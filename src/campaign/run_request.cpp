@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "campaign/campaign.hpp"
-#include "core/cli.hpp"
 #include "core/hash.hpp"
 #include "core/jsonv.hpp"
 #include "core/report.hpp"
@@ -33,8 +32,27 @@ void appendf(std::string* out, const char* fmt, ...) {
   *out += buf;
 }
 
+using Artifacts = std::map<std::string, std::string>;
+
 bool want(unsigned mask, ArtifactKind k) {
   return (mask & artifact_bit(k)) != 0;
+}
+
+/// Store artifact `k` under its table name when `mask` asks for it.
+void put(unsigned mask, ArtifactKind k, const std::string& text,
+         Artifacts* out) {
+  if (want(mask, k)) (*out)[to_string(k)] = text;
+}
+
+/// A metrics JSON export and its Prometheus rendering.
+void put_metrics(unsigned mask, const std::string& metrics_json,
+                 Artifacts* out) {
+  put(mask, ArtifactKind::kMetrics, metrics_json, out);
+  if (want(mask, ArtifactKind::kMetricsProm)) {
+    std::string perr;
+    put(mask, ArtifactKind::kMetricsProm,
+        prometheus_from_metrics_json(metrics_json, &perr), out);
+  }
 }
 
 /// Bits for the per-machine exports a single-machine run can produce.
@@ -50,45 +68,37 @@ constexpr unsigned kMachineArtifacts =
 /// requested export while the machine is still alive. Same sequence the
 /// runner's --*-out flags always used — health flushed first so trailing
 /// detector windows land in every export.
-std::function<void(sim::Machine&)> machine_observer(
-    unsigned mask, std::map<std::string, std::string>* out) {
+std::function<void(sim::Machine&)> machine_observer(unsigned mask,
+                                                    Artifacts* out) {
   if ((mask & kMachineArtifacts) == 0) return {};
   return [mask, out](sim::Machine& m) {
     m.health().flush(m.now());
+    // Each export is rendered only when asked for.
+    const auto render = [&](ArtifactKind k, const auto& text) {
+      if (want(mask, k)) (*out)[to_string(k)] = text();
+    };
     if (want(mask, ArtifactKind::kMetrics) ||
         want(mask, ArtifactKind::kMetricsProm)) {
-      const std::string mj = metrics_to_json(m);
-      if (want(mask, ArtifactKind::kMetrics)) (*out)["metrics"] = mj;
-      if (want(mask, ArtifactKind::kMetricsProm)) {
-        std::string perr;
-        (*out)["metrics_prom"] = prometheus_from_metrics_json(mj, &perr);
-      }
+      put_metrics(mask, metrics_to_json(m), out);
     }
-    if (want(mask, ArtifactKind::kTrace)) {
+    render(ArtifactKind::kTrace, [&] {
       std::ostringstream os;
       obs::write_chrome_trace(os, m.trace());
-      (*out)["trace"] = os.str();
-    }
-    if (want(mask, ArtifactKind::kSpans)) (*out)["spans"] = m.spans().to_json();
-    if (want(mask, ArtifactKind::kAudit)) (*out)["audit"] = m.audit().to_json();
-    if (want(mask, ArtifactKind::kCritical)) {
-      (*out)["critical"] =
-          obs::critical_path_json(m.spans(), "sensor.sample", "act.apply");
-    }
-    if (want(mask, ArtifactKind::kSeries)) {
-      (*out)["series"] = m.series().to_json();
-    }
-    if (want(mask, ArtifactKind::kHealth)) {
-      (*out)["health"] = m.health().to_json();
-    }
-    if (want(mask, ArtifactKind::kFlight)) {
-      (*out)["flight"] = m.flight().to_json();
-    }
+      return os.str();
+    });
+    render(ArtifactKind::kSpans, [&] { return m.spans().to_json(); });
+    render(ArtifactKind::kAudit, [&] { return m.audit().to_json(); });
+    render(ArtifactKind::kCritical, [&] {
+      return obs::critical_path_json(m.spans(), "sensor.sample", "act.apply");
+    });
+    render(ArtifactKind::kSeries, [&] { return m.series().to_json(); });
+    render(ArtifactKind::kHealth, [&] { return m.health().to_json(); });
+    render(ArtifactKind::kFlight, [&] { return m.flight().to_json(); });
   };
 }
 
 RunOptions run_options_from(const ExperimentRequest& req, unsigned mask,
-                            std::map<std::string, std::string>* artifacts) {
+                            Artifacts* artifacts) {
   RunOptions opts;
   opts.scenario_variant = req.scenario;
   opts.seed = req.seed;
@@ -228,9 +238,8 @@ ExperimentResponse run_benign_request(const ExperimentRequest& req,
           run.safety.alarm_violation ? "VIOLATED" : "held");
   appendf(&resp.table, "control alive       : %s\n",
           run.safety.control_alive ? "yes" : "NO");
-  if (want(mask, ArtifactKind::kSummary)) {
-    resp.artifacts["summary"] = benign_summary_json(req, run);
-  }
+  put(mask, ArtifactKind::kSummary, benign_summary_json(req, run),
+      &resp.artifacts);
   return resp;
 }
 
@@ -249,9 +258,8 @@ ExperimentResponse run_attack_request(const ExperimentRequest& req,
           row.outcome.primitive_succeeded ? "SUCCEEDED" : "blocked");
   appendf(&resp.table, "detail     : %s\n", row.outcome.detail.c_str());
   appendf(&resp.table, "physical   : %s\n", row.safety.summary().c_str());
-  if (want(mask, ArtifactKind::kSummary)) {
-    resp.artifacts["summary"] = attack_summary_json(req, row);
-  }
+  put(mask, ArtifactKind::kSummary, attack_summary_json(req, row),
+      &resp.artifacts);
   resp.exit_code = row.safety.physically_compromised() ? 1 : 0;
   return resp;
 }
@@ -267,9 +275,8 @@ ExperimentResponse run_matrix_request(const ExperimentRequest& req,
   } else {
     resp.table = format_attack_table(rows);
   }
-  if (want(mask, ArtifactKind::kSummary)) {
-    resp.artifacts["summary"] = matrix_summary_json(rows);
-  }
+  put(mask, ArtifactKind::kSummary, matrix_summary_json(rows),
+      &resp.artifacts);
   return resp;
 }
 
@@ -309,9 +316,8 @@ ExperimentResponse run_fault_request(const ExperimentRequest& req,
     appendf(&resp.table, "spoof probe    : not reached (web interface dead)\n");
   }
   appendf(&resp.table, "physical       : %s\n", res.safety.summary().c_str());
-  if (want(mask, ArtifactKind::kSummary)) {
-    resp.artifacts["summary"] = fault_summary_json(req, res);
-  }
+  put(mask, ArtifactKind::kSummary, fault_summary_json(req, res),
+      &resp.artifacts);
   resp.exit_code = res.loop_recovered ? 0 : 1;
   return resp;
 }
@@ -331,23 +337,15 @@ ExperimentResponse run_fabric_request(const ExperimentRequest& req,
   (void)parse_fabric_attack(req.attack, &opts.attack);  // validated
   const auto res = run_fabric(opts);
   resp.table = format_fabric_table(res);
-  auto put = [&](ArtifactKind k, const std::string& name,
-                 const std::string& text) {
-    if (want(mask, k)) resp.artifacts[name] = text;
-  };
-  put(ArtifactKind::kSummary, "summary", fabric_summary_json(res));
-  put(ArtifactKind::kMetrics, "metrics", res.metrics_json);
-  if (want(mask, ArtifactKind::kMetricsProm)) {
-    std::string perr;
-    resp.artifacts["metrics_prom"] =
-        prometheus_from_metrics_json(res.metrics_json, &perr);
-  }
-  put(ArtifactKind::kSpans, "spans", res.spans_json);
-  put(ArtifactKind::kAudit, "audit", res.audit_json);
-  put(ArtifactKind::kCritical, "critical", res.critical_path_json);
-  put(ArtifactKind::kSeries, "series", res.series_json);
-  put(ArtifactKind::kHealth, "health", res.health_json);
-  put(ArtifactKind::kFlight, "flight", res.flight_json);
+  Artifacts* out = &resp.artifacts;
+  put(mask, ArtifactKind::kSummary, fabric_summary_json(res), out);
+  put_metrics(mask, res.metrics_json, out);
+  put(mask, ArtifactKind::kSpans, res.spans_json, out);
+  put(mask, ArtifactKind::kAudit, res.audit_json, out);
+  put(mask, ArtifactKind::kCritical, res.critical_path_json, out);
+  put(mask, ArtifactKind::kSeries, res.series_json, out);
+  put(mask, ArtifactKind::kHealth, res.health_json, out);
+  put(mask, ArtifactKind::kFlight, res.flight_json, out);
   return resp;
 }
 
@@ -404,31 +402,21 @@ ExperimentResponse run_campaign_request(const ExperimentRequest& req,
     }
   }
 
-  auto put = [&](ArtifactKind k, const std::string& name,
-                 const std::string& text) {
-    if (want(mask, k)) resp.artifacts[name] = text;
-  };
-  put(ArtifactKind::kSummary, "summary", result.summary_json());
-  put(ArtifactKind::kMetrics, "metrics", result.merged_metrics_json);
-  if (want(mask, ArtifactKind::kMetricsProm)) {
-    std::string perr;
-    resp.artifacts["metrics_prom"] =
-        prometheus_from_metrics_json(result.merged_metrics_json, &perr);
-  }
-  put(ArtifactKind::kSpans, "spans", result.merged_spans_json);
-  put(ArtifactKind::kAudit, "audit", result.merged_audit_json);
-  put(ArtifactKind::kSeries, "series", result.merged_series_json);
-  put(ArtifactKind::kHealth, "health", result.merged_health_json);
-  put(ArtifactKind::kFlight, "flight", result.merged_flight_json);
+  Artifacts* out = &resp.artifacts;
+  put(mask, ArtifactKind::kSummary, result.summary_json(), out);
+  put_metrics(mask, result.merged_metrics_json, out);
+  put(mask, ArtifactKind::kSpans, result.merged_spans_json, out);
+  put(mask, ArtifactKind::kAudit, result.merged_audit_json, out);
+  put(mask, ArtifactKind::kSeries, result.merged_series_json, out);
+  put(mask, ArtifactKind::kHealth, result.merged_health_json, out);
+  put(mask, ArtifactKind::kFlight, result.merged_flight_json, out);
   // Pool profile: host wall-time, --jobs-dependent by nature — produced
   // only on request and kept out of the deterministic bundle.
   if (profiling) {
-    if (want(mask, ArtifactKind::kProfile)) {
-      resp.volatile_artifacts["profile"] = result.profile_json();
-    }
-    if (want(mask, ArtifactKind::kProfileTrace)) {
-      resp.volatile_artifacts["profile_trace"] = result.profile_trace_json();
-    }
+    put(mask, ArtifactKind::kProfile, result.profile_json(),
+        &resp.volatile_artifacts);
+    put(mask, ArtifactKind::kProfileTrace, result.profile_trace_json(),
+        &resp.volatile_artifacts);
   }
   return resp;
 }

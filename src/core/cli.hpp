@@ -1,64 +1,36 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "attack/attacks.hpp"
-#include "core/fabric_run.hpp"
 #include "core/request.hpp"
 
 namespace mkbas::core {
 
-/// The one flag grammar every experiment_runner subcommand shares:
-///
-///   --platform <minix|sel4|linux>   --scenario <temp|uds|bsl3>
-///   --seed N   --zones N   --jobs N   --seeds N
-///   --topology <flat|tree|campus>  --floors N  --buildings N
-///   --sync <lookahead|epoch>  --lite
-///   --out FILE --metrics-out FILE --trace-out FILE
-///   --trace-spans FILE --audit-out FILE --critical-out FILE
-///   --series-out FILE --health-out FILE --flight-out FILE
-///   --metrics-prom-out FILE --profile-out FILE --profile-trace FILE
-///   --attack <name>  --root --quota --acl --no-probe --csv --md
-///   --port N --batch N --slow-ms N --store-cap N --no-trace  (serve mode)
+/// The one flag grammar every experiment_runner subcommand shares. A
+/// request flag is its JSON key (`--zones 3` is `"zones":3`) and goes
+/// through the same typed setter as a POST /run body; the booleans are
+/// switches (--lite --root --quota --acl, and --no-probe for
+/// `"probe":false`), --csv/--md set the matrix format, and every
+/// artifact has a path flag (--out --metrics-out --trace-out ...). The
+/// tables behind them, and parse_cli, are in core/request.cpp. serve
+/// adds --port N --batch N --slow-ms N --store-cap N --no-trace. Numbers
+/// take plain digits only.
 ///
 /// Every option is a flag: positionals beyond the mode (and the
 /// campaign submode) are passed through in `pos` untouched, and unknown
 /// flags — single- or double-dash — are parse errors with a
-/// did-you-mean hint. The legacy positional spellings ("root",
-/// "seed N", bare platform names) are gone; spell them as flags.
+/// did-you-mean hint.
 struct CliArgs {
+  ExperimentRequest request;       // what the request flags fill
   std::string mode;                // first positional ("benign", ...)
   std::vector<std::string> pos;    // remaining positionals, in order
 
+  // Which of these flags were given: request_from_cli's CLI-only rules.
   bool has_platform = false;
-  bas::Platform platform = bas::Platform::kMinix;
-  std::string scenario = "temp";
-  std::uint64_t seed = 1;
   bool has_seed = false;
-  int zones = 4;
-  int jobs = 1;
-  int seeds = 8;
-  /// Fabric layout (--topology flat|tree|campus; line/star exist for
-  /// the sync battery but make little sense from the CLI).
-  net::TopologySpec::Kind topology = net::TopologySpec::Kind::kFlat;
-  int floors = 1;      // --floors: floor head-ends per building
-  int buildings = 1;   // --buildings: independent buildings (campus)
-  /// --sync lookahead|epoch: conservative sync engine selection.
-  net::SyncMode sync = net::SyncMode::kLookahead;
-  bool lite = false;   // --lite: gateway-only zones (city scale)
-  /// Requested artifact exports, one path slot per ArtifactKind —
-  /// replaces the dozen separate `*_out` string fields. --out fills
-  /// kSummary, --metrics-out kMetrics, and so on.
-  ArtifactRequest artifacts;
   bool has_attack = false;
-  std::string attack;              // raw --attack value
-  bool root = false;
-  bool quota = false;
-  bool acl = false;
-  bool no_probe = false;
-  std::string format;              // "", "csv" or "md"
+
   int port = 8080;                 // --port: serve listen port (0 = any)
   int batch = 8;                   // --batch: serve max cells per batch
   /// --slow-ms: serve slow-request forensics threshold (0 = snapshot
@@ -74,9 +46,5 @@ struct CliArgs {
 };
 
 CliArgs parse_cli(int argc, char** argv);
-
-bool parse_platform(const std::string& s, bas::Platform* out);
-bool parse_attack_kind(const std::string& s, attack::AttackKind* out);
-bool parse_fabric_attack(const std::string& s, FabricAttack* out);
 
 }  // namespace mkbas::core

@@ -1,8 +1,9 @@
 #include "core/request.hpp"
 
 #include <algorithm>
-#include <climits>
-#include <vector>
+#include <iterator>
+#include <limits>
+#include <type_traits>
 
 #include "core/cli.hpp"
 #include "core/hash.hpp"
@@ -13,29 +14,328 @@ namespace mkbas::core {
 
 namespace {
 
-const char* const kArtifactNames[kArtifactKinds] = {
-    "summary", "metrics", "trace",        "spans",   "audit",
-    "critical", "series", "health",       "flight",  "metrics_prom",
-    "profile",  "profile_trace"};
+using R = ExperimentRequest;
 
-const char* const kModeNames[kRequestModes] = {
-    "benign",          "attack",         "matrix",
-    "fault",           "fabric",         "campaign.matrix",
-    "campaign.sweep",  "campaign.fault", "campaign.fabric"};
+const R kDefaults;
 
-const char* sync_name(net::SyncMode m) {
-  return m == net::SyncMode::kEpoch ? "epoch" : "lookahead";
+// ---- Spellings: the words of each request enum, written once ----------
+
+std::string join(const std::vector<std::string>& words) {
+  std::string s;
+  for (const auto& w : words) s += (s.empty() ? "" : "|") + w;
+  return s;
 }
 
-bool parse_sync(const std::string& s, net::SyncMode* out) {
-  if (s == "lookahead") {
-    *out = net::SyncMode::kLookahead;
-  } else if (s == "epoch") {
-    *out = net::SyncMode::kEpoch;
-  } else {
+/// One enum's words, in the order `(expected a|b|c)` lists them;
+/// words[i] spells the enumerator values[i].
+struct Words {
+  std::vector<std::string> words;
+  std::vector<int> values;
+
+  Words() = default;
+  /// Words spelled here: word i spells enumerator i.
+  Words(std::initializer_list<const char*> ws) {
+    for (const char* w : ws) add(static_cast<int>(words.size()), w);
+  }
+  /// Words the enum's own module spells, through its to_string.
+  template <typename E>
+  Words(std::initializer_list<E> vs, const char* (*name)(E)) {
+    for (E v : vs) add(static_cast<int>(v), name(v));
+  }
+
+  void add(int value, std::string word) {
+    values.push_back(value);
+    words.push_back(std::move(word));
+  }
+  int find(const std::string& w) const {
+    const auto it = std::find(words.begin(), words.end(), w);
+    return it == words.end() ? -1 : static_cast<int>(it - words.begin());
+  }
+  /// "?" for an enumerator the grammar does not accept, like the
+  /// owners' to_string.
+  std::string word(int value) const {
+    const auto it = std::find(values.begin(), values.end(), value);
+    return it == values.end() ? "?" : words[static_cast<std::size_t>(
+                                          it - values.begin())];
+  }
+};
+
+const Words kPlatforms({bas::Platform::kMinix, bas::Platform::kSel4,
+                        bas::Platform::kLinux},
+                       bas::platform_name);
+/// Only the layouts run_fabric builds; net::Topology keeps line and star
+/// for the sync battery.
+const Words kTopologies({net::TopologySpec::Kind::kFlat,
+                         net::TopologySpec::Kind::kTree,
+                         net::TopologySpec::Kind::kCampus},
+                        net::to_string);
+const Words kSyncs = {"lookahead", "epoch"};  // net::SyncMode order
+/// attack::AttackKind order; its to_string gives the display labels.
+const Words kHostAttacks = {"spoof-sensor", "spoof-actuator", "kill",
+                            "fork-bomb",    "brute-force",    "flood"};
+const Words kFabricAttacks({FabricAttack::kNone, FabricAttack::kSpoofWrite,
+                            FabricAttack::kReplay, FabricAttack::kFlood},
+                           to_string);
+const Words kFormats = {"table", "csv", "md"};  // the first is the default
+
+template <typename E>
+bool lookup(const Words& w, const std::string& s, E* out) {
+  const int i = w.find(s);
+  if (i >= 0) *out = static_cast<E>(w.values[static_cast<std::size_t>(i)]);
+  return i >= 0;
+}
+
+std::string unknown_value(const std::string& key, const std::string& value,
+                          const Words& w) {
+  return "'" + key + "': unknown value '" + value + "' (expected " +
+         join(w.words) + ")" + did_you_mean(value, w.words);
+}
+
+// ---- Modes: one row per RequestMode, in enum order ---------------------
+
+struct Mode {
+  const char* wire;         // "campaign.x" is `campaign x` on the CLI
+  bool cli_needs_platform;  // the CLI requires --platform
+  const Words* attacks;     // the attack grammar; nullptr: takes none
+  bool builds_plant;        // runs the scenario's temperature plant
+};
+
+const Mode kModes[kRequestModes] = {
+    {"benign", true, nullptr, true},
+    {"attack", true, &kHostAttacks, true},
+    {"matrix", false, nullptr, false},
+    {"fault", true, nullptr, true},
+    {"fabric", false, &kFabricAttacks, false},
+    {"campaign.matrix", false, nullptr, false},
+    {"campaign.sweep", true, nullptr, false},
+    {"campaign.fault", false, nullptr, false},
+    {"campaign.fabric", false, &kFabricAttacks, false},
+};
+
+const Words kModeWords = [] {
+  Words w{};
+  for (int i = 0; i < kRequestModes; ++i) w.add(i, kModes[i].wire);
+  return w;
+}();
+
+// ---- Artifacts: one row per ArtifactKind, in enum order ----------------
+
+struct Artifact {
+  const char* name;  // the bundle key and the daemon's ?artifact= value
+  const char* flag;  // the CLI's path flag
+  bool deterministic;
+};
+
+const Artifact kArtifacts[kArtifactKinds] = {
+    {"summary", "--out", true},
+    {"metrics", "--metrics-out", true},
+    {"trace", "--trace-out", true},
+    {"spans", "--trace-spans", true},
+    {"audit", "--audit-out", true},
+    {"critical", "--critical-out", true},
+    {"series", "--series-out", true},
+    {"health", "--health-out", true},
+    {"flight", "--flight-out", true},
+    {"metrics_prom", "--metrics-prom-out", true},
+    {"profile", "--profile-out", false},
+    {"profile_trace", "--profile-trace", false},
+};
+
+// ---- Fields: one row per request member --------------------------------
+
+/// `flag` is the field's command-line spelling: nullptr for none; a
+/// boolean's flag is a switch that sets true, or false when spelled
+/// --no-<key>; "--" alone makes each of the field's words but the first
+/// a switch of its own (--csv, --md); any other flag takes the next
+/// argument as its value.
+struct Field {
+  const char* key;
+  const char* flag;
+  const Words* words;  // an enum's spellings
+  bool canonical;      // rendered by to_canonical_json, so in the key
+  Json::Kind kind;     // what a value-taking flag's text becomes
+  bool (*set)(const Field&, R&, const Json&, std::string* err);
+  void (*put)(const Field&, const R&, std::string* out);
+};
+
+std::string expected(const Field& f, const std::string& what) {
+  return "'" + std::string(f.key) + "': expected " + what;
+}
+
+/// A JSON number without sign, fraction or exponent that fits N: every
+/// count and seed, from a body or a command line.
+template <typename N>
+bool whole(const Json& v, N* out) {
+  if (!v.is_u64() || v.as_u64() > std::numeric_limits<N>::max()) return false;
+  *out = static_cast<N>(v.as_u64());
+  return true;
+}
+
+bool read(const Field& f, const Json& v, bool* out, std::string* err) {
+  if (!v.is_bool()) {
+    *err = expected(f, "boolean, got ") + to_string(v.kind);
     return false;
   }
+  *out = v.boolean;
   return true;
+}
+
+bool read(const Field& f, const Json& v, std::string* out, std::string* err) {
+  if (!v.is_string()) {
+    *err = expected(f, "string, got ") + to_string(v.kind);
+    return false;
+  }
+  *out = v.text;
+  return true;
+}
+
+template <typename N>
+  requires std::is_integral_v<N>
+bool read(const Field& f, const Json& v, N* out, std::string* err) {
+  if (whole(v, out)) return true;
+  *err = expected(f, "a non-negative integer");
+  return false;
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+bool read(const Field& f, const Json& v, E* out, std::string* err) {
+  std::string s;
+  if (!read(f, v, &s, err)) return false;
+  if (lookup(*f.words, s, out)) return true;
+  *err = unknown_value(f.key, s, *f.words);
+  return false;
+}
+
+void write(const Field&, bool b, std::string* out) {
+  *out += b ? "true" : "false";
+}
+template <typename N>
+  requires std::is_integral_v<N>
+void write(const Field&, N n, std::string* out) {
+  *out += std::to_string(n);
+}
+void write(const Field&, const std::string& s, std::string* out) {
+  *out += '"' + obs::json_escape(s) + '"';
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void write(const Field& f, E e, std::string* out) {
+  *out += '"' + f.words->word(static_cast<int>(e)) + '"';
+}
+
+template <auto M>
+Field field(const char* key, const char* flag, const Words* words = nullptr,
+            bool canonical = true) {
+  using T = std::remove_cvref_t<decltype(kDefaults.*M)>;
+  return {key,
+          flag,
+          words,
+          canonical,
+          std::is_same_v<T, bool>        ? Json::Kind::kBool
+          : std::is_arithmetic_v<T>      ? Json::Kind::kNumber
+                                         : Json::Kind::kString,
+          [](const Field& f, R& r, const Json& v, std::string* err) {
+            return read(f, v, &(r.*M), err);
+          },
+          [](const Field& f, const R& r, std::string* out) {
+            write(f, r.*M, out);
+          }};
+}
+
+/// Sorted by key: the order to_canonical_json renders.
+const Field kFields[] = {
+    field<&R::acl>("acl", "--acl"),
+    field<&R::attack>("attack", "--attack"),
+    field<&R::buildings>("buildings", "--buildings"),
+    field<&R::floors>("floors", "--floors"),
+    field<&R::format>("format", "--", &kFormats),
+    field<&R::jobs>("jobs", "--jobs", nullptr, /*canonical=*/false),
+    field<&R::lite>("lite", "--lite"),
+    field<&R::mode>("mode", nullptr, &kModeWords),
+    field<&R::platform>("platform", "--platform", &kPlatforms),
+    field<&R::probe>("probe", "--no-probe"),
+    field<&R::quota>("quota", "--quota"),
+    field<&R::root>("root", "--root"),
+    field<&R::scenario>("scenario", "--scenario"),
+    field<&R::seed>("seed", "--seed"),
+    field<&R::seeds>("seeds", "--seeds"),
+    field<&R::sync>("sync", "--sync", &kSyncs),
+    field<&R::topology>("topology", "--topology", &kTopologies),
+    field<&R::zones>("zones", "--zones"),
+};
+
+/// One command-line flag, derived from the field and artifact tables.
+struct Flag {
+  std::string spelling;
+  const Field* field;  // nullptr: an artifact's path flag
+  int artifact;
+  Json preset;  // the value a bare switch sets; kNull: takes an argument
+};
+
+std::vector<Flag> make_flags() {
+  std::vector<Flag> out;
+  for (const Field& f : kFields) {
+    if (f.flag == nullptr) continue;
+    const std::string flag = f.flag;
+    Json v;
+    if (flag == "--") {
+      for (std::size_t i = 1; i < f.words->words.size(); ++i) {
+        v.kind = Json::Kind::kString;
+        v.text = f.words->words[i];
+        out.push_back({flag + v.text, &f, -1, v});
+      }
+      continue;
+    }
+    if (f.kind == Json::Kind::kBool) {
+      v.kind = Json::Kind::kBool;
+      v.boolean = flag != "--no-" + std::string(f.key);
+    }
+    out.push_back({flag, &f, -1, v});
+  }
+  for (int k = 0; k < kArtifactKinds; ++k) {
+    out.push_back({kArtifacts[k].flag, nullptr, k, {}});
+  }
+  return out;
+}
+
+const std::vector<Flag> kFlags = make_flags();
+
+bool finish(const R& r, R* out, std::string* err) {
+  *err = r.validate();
+  if (!err->empty()) return false;
+  *out = r;
+  return true;
+}
+
+/// The mode the CLI's words name: "benign", or "campaign fault" for
+/// campaign.fault.
+bool mode_from_words(const CliArgs& a, RequestMode* out, std::string* err) {
+  std::vector<std::string> firsts = {"serve"};  // the runner's daemon
+  std::vector<std::string> subs;
+  for (int i = 0; i < kRequestModes; ++i) {
+    const std::string wire = kModes[i].wire;
+    const std::size_t dot = wire.find('.');
+    const std::string first = wire.substr(0, dot);
+    if (first != a.mode) {
+      firsts.push_back(first);
+    } else if (dot == std::string::npos ||
+               (!a.pos.empty() && a.pos[0] == wire.substr(dot + 1))) {
+      *out = static_cast<RequestMode>(i);
+      return true;
+    } else {
+      subs.push_back(wire.substr(dot + 1));
+    }
+  }
+  if (subs.empty()) {
+    *err = "unknown mode '" + a.mode + "'" + did_you_mean(a.mode, firsts);
+  } else if (a.pos.empty()) {
+    *err = a.mode + " needs a submode: " + a.mode + " <" + join(subs) + ">";
+  } else {
+    *err = "unknown " + a.mode + " submode '" + a.pos[0] + "'" +
+           did_you_mean(a.pos[0], subs);
+  }
+  return false;
 }
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
@@ -72,12 +372,12 @@ std::string did_you_mean(const std::string& word,
 }
 
 const char* to_string(ArtifactKind k) {
-  return kArtifactNames[static_cast<int>(k)];
+  return kArtifacts[static_cast<int>(k)].name;
 }
 
 bool parse_artifact_kind(const std::string& s, ArtifactKind* out) {
   for (int i = 0; i < kArtifactKinds; ++i) {
-    if (s == kArtifactNames[i]) {
+    if (s == kArtifacts[i].name) {
       *out = static_cast<ArtifactKind>(i);
       return true;
     }
@@ -86,7 +386,7 @@ bool parse_artifact_kind(const std::string& s, ArtifactKind* out) {
 }
 
 bool artifact_is_deterministic(ArtifactKind k) {
-  return k != ArtifactKind::kProfile && k != ArtifactKind::kProfileTrace;
+  return kArtifacts[static_cast<int>(k)].deterministic;
 }
 
 bool ArtifactRequest::any() const {
@@ -107,23 +407,25 @@ unsigned ArtifactRequest::mask() const {
 unsigned all_deterministic_artifacts() {
   unsigned m = 0;
   for (int i = 0; i < kArtifactKinds; ++i) {
-    if (artifact_is_deterministic(static_cast<ArtifactKind>(i))) m |= 1u << i;
+    if (kArtifacts[i].deterministic) m |= 1u << i;
   }
   return m;
 }
 
 const char* to_string(RequestMode m) {
-  return kModeNames[static_cast<int>(m)];
+  return kModes[static_cast<int>(m)].wire;
 }
 
-bool parse_request_mode(const std::string& s, RequestMode* out) {
-  for (int i = 0; i < kRequestModes; ++i) {
-    if (s == kModeNames[i]) {
-      *out = static_cast<RequestMode>(i);
-      return true;
-    }
-  }
-  return false;
+bool parse_platform(const std::string& s, bas::Platform* out) {
+  return lookup(kPlatforms, s, out);
+}
+
+bool parse_attack_kind(const std::string& s, attack::AttackKind* out) {
+  return lookup(kHostAttacks, s, out);
+}
+
+bool parse_fabric_attack(const std::string& s, FabricAttack* out) {
+  return lookup(kFabricAttacks, s, out);
 }
 
 std::string ExperimentRequest::to_canonical_json() const {
@@ -131,25 +433,15 @@ std::string ExperimentRequest::to_canonical_json() const {
   // this rendering ARE the cache identity — change it only with a
   // schema_version bump and a migration story for stored keys.
   std::string s = "{";
-  s += "\"acl\":" + std::string(acl ? "true" : "false");
-  s += ",\"attack\":\"" + obs::json_escape(attack) + "\"";
-  s += ",\"buildings\":" + std::to_string(buildings);
-  s += ",\"floors\":" + std::to_string(floors);
-  s += ",\"format\":\"" + obs::json_escape(format) + "\"";
-  s += ",\"lite\":" + std::string(lite ? "true" : "false");
-  s += ",\"mode\":\"" + std::string(to_string(mode)) + "\"";
-  s += ",\"platform\":\"" + std::string(platform_name(platform)) + "\"";
-  s += ",\"probe\":" + std::string(probe ? "true" : "false");
-  s += ",\"quota\":" + std::string(quota ? "true" : "false");
-  s += ",\"root\":" + std::string(root ? "true" : "false");
-  s += ",\"scenario\":\"" + obs::json_escape(scenario) + "\"";
-  s += ",\"seed\":" + std::to_string(seed);
-  s += ",\"seeds\":" + std::to_string(seeds);
-  s += ",\"sync\":\"" + std::string(sync_name(sync)) + "\"";
-  s += ",\"topology\":\"" + std::string(net::to_string(topology)) + "\"";
-  s += ",\"zones\":" + std::to_string(zones);
-  s += "}";
-  return s;
+  for (const Field& f : kFields) {
+    if (!f.canonical) continue;
+    if (s.size() > 1) s += ',';
+    s += '"';
+    s += f.key;
+    s += "\":";
+    f.put(f, *this, &s);
+  }
+  return s + "}";
 }
 
 std::uint64_t ExperimentRequest::cell_key() const {
@@ -167,98 +459,33 @@ std::string ExperimentRequest::validate() const {
   if (floors < 1) return "'floors': must be >= 1";
   if (buildings < 1) return "'buildings': must be >= 1";
   if (jobs < 1) return "'jobs': must be >= 1";
-  if (format != "table" && format != "csv" && format != "md") {
-    return "'format': unknown value '" + format + "' (expected table|csv|md)";
+  if (kFormats.find(format) < 0) {
+    return unknown_value("format", format, kFormats);
   }
-  if ((mode == RequestMode::kBenign || mode == RequestMode::kAttack ||
-       mode == RequestMode::kFault) &&
-      !bas::scenario_has_plant(platform, scenario)) {
+  const Mode& m = kModes[static_cast<int>(mode)];
+  if (m.builds_plant && !bas::scenario_has_plant(platform, scenario)) {
     const auto variants = bas::scenario_variants(platform);
-    std::string runnable;
+    std::vector<std::string> runnable;
     for (const auto& v : variants) {
-      if (!bas::scenario_has_plant(platform, v)) continue;
-      runnable += (runnable.empty() ? "" : "|") + v;
+      if (bas::scenario_has_plant(platform, v)) runnable.push_back(v);
     }
     const bool known =
         std::find(variants.begin(), variants.end(), scenario) != variants.end();
     return "'scenario': " +
            (known ? "'" + scenario + "' has no temperature plant"
                   : "unknown value '" + scenario + "'") +
-           " on " + platform_name(platform) + " (expected " + runnable + ")";
+           " on " + platform_name(platform) + " (expected " + join(runnable) +
+           ")";
   }
-  switch (mode) {
-    case RequestMode::kAttack: {
-      attack::AttackKind k;
-      if (!parse_attack_kind(attack, &k)) {
-        return "'attack': unknown value '" + attack +
-               "' (expected spoof-sensor|spoof-actuator|kill|fork-bomb|"
-               "brute-force|flood)" +
-               did_you_mean(attack,
-                            {"spoof-sensor", "spoof-actuator", "kill",
-                             "fork-bomb", "brute-force", "flood"});
-      }
-      break;
-    }
-    case RequestMode::kFabric:
-    case RequestMode::kCampaignFabric: {
-      FabricAttack f;
-      if (!parse_fabric_attack(attack, &f)) {
-        return "'attack': unknown value '" + attack +
-               "' (expected none|spoof-write|replay|flood)" +
-               did_you_mean(attack, {"none", "spoof-write", "replay",
-                                     "flood"});
-      }
-      break;
-    }
-    default:
-      if (attack != "none") {
-        return std::string("'attack': mode '") + to_string(mode) +
-               "' does not take an attack";
-      }
-      break;
+  if (m.attacks != nullptr && m.attacks->find(attack) < 0) {
+    return unknown_value("attack", attack, *m.attacks);
+  }
+  if (m.attacks == nullptr && attack != kDefaults.attack) {
+    return std::string("'attack': mode '") + m.wire +
+           "' does not take an attack";
   }
   return "";
 }
-
-namespace {
-
-std::vector<std::string> request_field_names() {
-  return {"acl",      "attack", "buildings", "floors", "format", "jobs",
-          "lite",     "mode",   "platform",  "probe",  "quota",  "root",
-          "scenario", "seed",   "seeds",     "sync",   "topology", "zones"};
-}
-
-bool want_bool(const std::string& key, const Json& v, bool* out,
-               std::string* err) {
-  if (!v.is_bool()) {
-    *err = "'" + key + "': expected boolean, got " + to_string(v.kind);
-    return false;
-  }
-  *out = v.boolean;
-  return true;
-}
-
-bool want_string(const std::string& key, const Json& v, std::string* out,
-                 std::string* err) {
-  if (!v.is_string()) {
-    *err = "'" + key + "': expected string, got " + to_string(v.kind);
-    return false;
-  }
-  *out = v.text;
-  return true;
-}
-
-bool want_int(const std::string& key, const Json& v, int* out,
-              std::string* err) {
-  if (!v.is_number() || !v.is_u64() || v.as_u64() > INT_MAX) {
-    *err = "'" + key + "': expected a non-negative integer";
-    return false;
-  }
-  *out = static_cast<int>(v.as_u64());
-  return true;
-}
-
-}  // namespace
 
 bool parse_request_json(const std::string& json, ExperimentRequest* out,
                         std::string* err) {
@@ -272,186 +499,115 @@ bool parse_request_json(const std::string& json, ExperimentRequest* out,
   }
   ExperimentRequest r;
   for (const auto& [key, v] : root.members) {
-    if (key == "mode") {
-      std::string s;
-      if (!want_string(key, v, &s, err)) return false;
-      if (!parse_request_mode(s, &r.mode)) {
-        *err = "'mode': unknown value '" + s + "'" +
-               did_you_mean(s, std::vector<std::string>(
-                                   kModeNames, kModeNames + kRequestModes));
-        return false;
-      }
-    } else if (key == "platform") {
-      std::string s;
-      if (!want_string(key, v, &s, err)) return false;
-      if (!parse_platform(s, &r.platform)) {
-        *err = "'platform': unknown value '" + s +
-               "' (expected minix|sel4|linux)" +
-               did_you_mean(s, {"minix", "sel4", "linux"});
-        return false;
-      }
-    } else if (key == "scenario") {
-      if (!want_string(key, v, &r.scenario, err)) return false;
-    } else if (key == "seed") {
-      if (!v.is_number() || !v.is_u64()) {
-        *err = "'seed': expected a non-negative integer";
-        return false;
-      }
-      r.seed = v.as_u64();
-    } else if (key == "zones") {
-      if (!want_int(key, v, &r.zones, err)) return false;
-    } else if (key == "seeds") {
-      if (!want_int(key, v, &r.seeds, err)) return false;
-    } else if (key == "floors") {
-      if (!want_int(key, v, &r.floors, err)) return false;
-    } else if (key == "buildings") {
-      if (!want_int(key, v, &r.buildings, err)) return false;
-    } else if (key == "jobs") {
-      if (!want_int(key, v, &r.jobs, err)) return false;
-    } else if (key == "topology") {
-      std::string s;
-      if (!want_string(key, v, &s, err)) return false;
-      if (!net::parse_topology_kind(s, &r.topology)) {
-        *err = "'topology': unknown value '" + s +
-               "' (expected flat|line|star|tree|campus)" +
-               did_you_mean(s, {"flat", "line", "star", "tree", "campus"});
-        return false;
-      }
-    } else if (key == "sync") {
-      std::string s;
-      if (!want_string(key, v, &s, err)) return false;
-      if (!parse_sync(s, &r.sync)) {
-        *err = "'sync': unknown value '" + s +
-               "' (expected lookahead|epoch)" +
-               did_you_mean(s, {"lookahead", "epoch"});
-        return false;
-      }
-    } else if (key == "lite") {
-      if (!want_bool(key, v, &r.lite, err)) return false;
-    } else if (key == "attack") {
-      if (!want_string(key, v, &r.attack, err)) return false;
-    } else if (key == "root") {
-      if (!want_bool(key, v, &r.root, err)) return false;
-    } else if (key == "quota") {
-      if (!want_bool(key, v, &r.quota, err)) return false;
-    } else if (key == "acl") {
-      if (!want_bool(key, v, &r.acl, err)) return false;
-    } else if (key == "probe") {
-      if (!want_bool(key, v, &r.probe, err)) return false;
-    } else if (key == "format") {
-      if (!want_string(key, v, &r.format, err)) return false;
-    } else {
-      *err = "unknown field '" + key + "'" +
-             did_you_mean(key, request_field_names());
+    const Field* f = std::find_if(std::begin(kFields), std::end(kFields),
+                                  [&](const Field& x) { return key == x.key; });
+    if (f == std::end(kFields)) {
+      std::vector<std::string> keys;
+      for (const Field& x : kFields) keys.emplace_back(x.key);
+      *err = "unknown field '" + key + "'" + did_you_mean(key, keys);
       return false;
     }
+    if (!f->set(*f, r, v, err)) return false;
   }
-  const std::string bad = r.validate();
-  if (!bad.empty()) {
-    *err = bad;
-    return false;
+  return finish(r, out, err);
+}
+
+CliArgs parse_cli(int argc, char** argv) {
+  // The serve subcommand's counts.
+  static const std::pair<const char*, int CliArgs::*> kServeCounts[] = {
+      {"--port", &CliArgs::port},
+      {"--batch", &CliArgs::batch},
+      {"--slow-ms", &CliArgs::slow_ms},
+      {"--store-cap", &CliArgs::store_cap},
+  };
+  CliArgs a;
+  for (int i = 1; i < argc && a.error.empty(); ++i) {
+    const std::string arg = argv[i];
+    const auto flag = std::find_if(
+        kFlags.begin(), kFlags.end(),
+        [&](const Flag& f) { return f.spelling == arg; });
+    const auto count =
+        std::find_if(std::begin(kServeCounts), std::end(kServeCounts),
+                     [&](const auto& c) { return arg == c.first; });
+    const bool takes_value =
+        (flag != kFlags.end() && flag->preset.kind == Json::Kind::kNull) ||
+        count != std::end(kServeCounts);
+    if (takes_value && i + 1 >= argc) {
+      a.error = arg + " needs a value";
+      break;
+    }
+    const std::string text = takes_value ? argv[++i] : "";
+    Json v;
+    std::string ignored;
+    if (flag != kFlags.end() && flag->field == nullptr) {
+      a.request.artifacts.path[static_cast<std::size_t>(flag->artifact)] = text;
+    } else if (flag != kFlags.end()) {
+      // Numbers go through the JSON number grammar; any other value is
+      // the field's string.
+      const Field& f = *flag->field;
+      if (!takes_value) {
+        v = flag->preset;
+      } else if (f.kind != Json::Kind::kNumber ||
+                 !json_parse(text, &v, &ignored)) {
+        v.kind = Json::Kind::kString;
+        v.text = text;
+      }
+      if (!f.set(f, a.request, v, &a.error)) break;
+      const std::string key = f.key;
+      a.has_platform |= key == "platform";
+      a.has_seed |= key == "seed";
+      a.has_attack |= key == "attack";
+    } else if (count != std::end(kServeCounts)) {
+      if (!json_parse(text, &v, &ignored) || !whole(v, &(a.*count->second))) {
+        a.error = "'" + arg + "': expected a non-negative integer";
+      }
+    } else if (arg == "--no-trace") {
+      a.no_trace = true;
+    } else if (arg.size() >= 2 && arg[0] == '-' &&
+               !(arg[1] >= '0' && arg[1] <= '9')) {
+      // Any unrecognized flag — double- or single-dash — is an error, so
+      // typos like --zoned 16 never run the default experiment.
+      std::vector<std::string> known = {"--no-trace"};
+      for (const Flag& f : kFlags) known.push_back(f.spelling);
+      for (const auto& c : kServeCounts) known.emplace_back(c.first);
+      a.error = "unknown flag: " + arg + did_you_mean(arg, known);
+    } else if (a.mode.empty()) {
+      a.mode = arg;
+    } else {
+      // Positionals beyond the mode are passed through untouched; only
+      // the campaign submode reads them.
+      a.pos.push_back(arg);
+    }
   }
-  *out = r;
-  return true;
+  return a;
 }
 
 bool request_from_cli(const CliArgs& a, ExperimentRequest* out,
                       std::string* err) {
   *out = ExperimentRequest{};
-  ExperimentRequest r;
   err->clear();
-
-  const std::string& mode = a.mode;
-  if (mode == "benign") {
-    r.mode = RequestMode::kBenign;
-  } else if (mode == "attack") {
-    r.mode = RequestMode::kAttack;
-  } else if (mode == "matrix") {
-    r.mode = RequestMode::kMatrix;
-  } else if (mode == "fault") {
-    r.mode = RequestMode::kFault;
-  } else if (mode == "fabric") {
-    r.mode = RequestMode::kFabric;
-  } else if (mode == "campaign") {
-    if (a.pos.empty()) {
-      *err = "campaign needs a submode: campaign <matrix|sweep|fault|fabric>";
-      return false;
-    }
-    const std::string& what = a.pos[0];
-    if (what == "matrix") {
-      r.mode = RequestMode::kCampaignMatrix;
-    } else if (what == "sweep") {
-      r.mode = RequestMode::kCampaignSweep;
-    } else if (what == "fault") {
-      r.mode = RequestMode::kCampaignFault;
-    } else if (what == "fabric") {
-      r.mode = RequestMode::kCampaignFabric;
-    } else {
-      *err = "unknown campaign submode '" + what + "'" +
-             did_you_mean(what, {"matrix", "sweep", "fault", "fabric"});
-      return false;
-    }
-  } else {
-    *err = "unknown mode '" + mode + "'" +
-           did_you_mean(mode, {"benign", "attack", "matrix", "fault",
-                               "fabric", "campaign", "serve"});
+  ExperimentRequest r = a.request;
+  if (!mode_from_words(a, &r.mode, err)) return false;
+  const Mode& m = kModes[static_cast<int>(r.mode)];
+  if (m.cli_needs_platform && !a.has_platform) {
+    *err = std::string("mode '") + m.wire + "' needs --platform <" +
+           join(kPlatforms.words) + ">";
     return false;
   }
-
-  const bool needs_platform = r.mode == RequestMode::kBenign ||
-                              r.mode == RequestMode::kAttack ||
-                              r.mode == RequestMode::kFault ||
-                              r.mode == RequestMode::kCampaignSweep;
-  if (needs_platform && !a.has_platform) {
-    *err = std::string("mode '") + to_string(r.mode) +
-           "' needs --platform <minix|sel4|linux>";
+  if (m.attacks == nullptr && a.has_attack) {
+    *err = std::string("mode '") + m.wire + "' does not take --attack";
     return false;
   }
-  r.platform = a.platform;
-  r.scenario = a.scenario;
-  r.seed = a.seed;
+  if (m.attacks != nullptr && !a.has_attack &&
+      m.attacks->find(kDefaults.attack) < 0) {
+    *err = std::string("mode '") + m.wire + "' needs --attack <" +
+           join(m.attacks->words) + ">";
+    return false;
+  }
   // The reference fault campaign historically pins seed 42; an explicit
-  // --seed now overrides it instead of being silently dropped.
+  // --seed overrides it.
   if (r.mode == RequestMode::kCampaignFault && !a.has_seed) r.seed = 42;
-  r.zones = a.zones;
-  r.seeds = a.seeds;
-  r.topology = a.topology;
-  r.floors = a.floors;
-  r.buildings = a.buildings;
-  r.sync = a.sync;
-  r.lite = a.lite;
-  r.root = a.root;
-  r.quota = a.quota;
-  r.acl = a.acl;
-  r.probe = !a.no_probe;
-  r.format = a.format.empty() ? "table" : a.format;
-  r.jobs = a.jobs;
-  r.artifacts = a.artifacts;
-
-  if (r.mode == RequestMode::kAttack) {
-    if (!a.has_attack) {
-      *err = "mode 'attack' needs --attack "
-             "<spoof-sensor|spoof-actuator|kill|fork-bomb|brute-force|"
-             "flood>";
-      return false;
-    }
-    r.attack = a.attack;
-  } else if (r.mode == RequestMode::kFabric ||
-             r.mode == RequestMode::kCampaignFabric) {
-    if (a.has_attack) r.attack = a.attack;
-  } else if (a.has_attack) {
-    *err = std::string("mode '") + to_string(r.mode) +
-           "' does not take --attack";
-    return false;
-  }
-
-  const std::string bad = r.validate();
-  if (!bad.empty()) {
-    *err = bad;
-    return false;
-  }
-  *out = r;
-  return true;
+  return finish(r, out, err);
 }
 
 }  // namespace mkbas::core

@@ -3,7 +3,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "attack/attacks.hpp"
 #include "bas/scenario.hpp"
 #include "core/fabric_run.hpp"
 #include "net/topology.hpp"
@@ -14,22 +16,24 @@ struct CliArgs;  // core/cli.hpp — the CLI front-end over this API
 
 /// Every JSON artifact an experiment can materialize. The CLI maps each
 /// kind to an output path; the daemon stores the whole bundle under the
-/// request's cell key and serves kinds by name. kProfile/kProfileTrace
-/// are host-wall-time diagnostics: they are produced on demand but never
-/// cached (a cache must only hold deterministic bytes).
+/// request's cell key and serves kinds by name. Each kind's name, path
+/// flag and determinism are one row of the artifact table in request.cpp.
+/// kProfile/kProfileTrace are host-wall-time diagnostics: they are
+/// produced on demand but never cached (a cache must only hold
+/// deterministic bytes).
 enum class ArtifactKind {
-  kSummary = 0,  // --out: the mode's machine-readable summary JSON
-  kMetrics,      // --metrics-out
-  kTrace,        // --trace-out (Chrome trace events)
-  kSpans,        // --trace-spans
-  kAudit,        // --audit-out
-  kCritical,     // --critical-out
-  kSeries,       // --series-out
-  kHealth,       // --health-out
-  kFlight,       // --flight-out
-  kMetricsProm,  // --metrics-prom-out (Prometheus text exposition)
-  kProfile,      // --profile-out (campaign pool; never cached)
-  kProfileTrace, // --profile-trace (campaign pool; never cached)
+  kSummary = 0,  // the mode's machine-readable summary JSON
+  kMetrics,
+  kTrace,        // Chrome trace events
+  kSpans,
+  kAudit,
+  kCritical,
+  kSeries,
+  kHealth,
+  kFlight,
+  kMetricsProm,  // Prometheus text exposition
+  kProfile,      // campaign pool; never cached
+  kProfileTrace, // campaign pool; never cached
 };
 inline constexpr int kArtifactKinds = 12;
 
@@ -37,8 +41,7 @@ const char* to_string(ArtifactKind k);
 bool parse_artifact_kind(const std::string& s, ArtifactKind* out);
 bool artifact_is_deterministic(ArtifactKind k);
 
-/// Which artifacts a front-end wants, and (CLI only) where each goes.
-/// Replaces the dozen separate `*_out` strings CliArgs used to carry:
+/// Which artifacts a front-end wants, and (CLI only) where each goes:
 /// drivers iterate kinds instead of plumbing one field per file.
 struct ArtifactRequest {
   std::array<std::string, kArtifactKinds> path{};  // "" = not requested
@@ -80,12 +83,17 @@ enum class RequestMode {
 inline constexpr int kRequestModes = 9;
 
 const char* to_string(RequestMode m);
-bool parse_request_mode(const std::string& s, RequestMode* out);
 
 /// The wire spelling of a platform ("minix"/"sel4"/"linux") — what
 /// parse_platform accepts and what canonical JSON must therefore emit.
 /// bas::to_string() gives the display label ("MINIX3+ACM") instead.
 using bas::platform_name;
+
+/// The request grammar's words for the enums a request names as
+/// strings; false when `s` is not one of them.
+bool parse_platform(const std::string& s, bas::Platform* out);
+bool parse_attack_kind(const std::string& s, attack::AttackKind* out);
+bool parse_fabric_attack(const std::string& s, FabricAttack* out);
 
 /// The canonical experiment request: one plain value type naming every
 /// deterministic input of every runner mode. CLI flags and HTTP bodies
@@ -148,8 +156,11 @@ bool parse_request_json(const std::string& json, ExperimentRequest* out,
                         std::string* err);
 
 /// The CLI adapter: interpret one parsed flag set as a canonical
-/// request. Returns false + *err when the combination does not name a
-/// runnable experiment (the caller prints usage).
+/// request. Adds only what the CLI asks beyond the JSON grammar: the
+/// mode words, --platform and --attack where the mode needs them, and
+/// the fault campaign's default seed. Returns false + *err when the
+/// combination does not name a runnable experiment (the caller prints
+/// usage).
 bool request_from_cli(const CliArgs& a, ExperimentRequest* out,
                       std::string* err);
 

@@ -32,16 +32,6 @@ const char* to_string(TopologySpec::Kind k) {
   return "?";
 }
 
-bool parse_topology_kind(const std::string& s, TopologySpec::Kind* out) {
-  if (s == "flat") *out = TopologySpec::Kind::kFlat;
-  else if (s == "line") *out = TopologySpec::Kind::kLine;
-  else if (s == "star") *out = TopologySpec::Kind::kStar;
-  else if (s == "tree") *out = TopologySpec::Kind::kTree;
-  else if (s == "campus") *out = TopologySpec::Kind::kCampus;
-  else return false;
-  return true;
-}
-
 Topology Topology::build(const TopologySpec& spec) {
   Topology t;
   t.spec = spec;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,7 +21,6 @@ struct TopologySpec {
   int buildings = 1;  // independent buildings (campus)
 };
 
-bool parse_topology_kind(const std::string& s, TopologySpec::Kind* out);
 const char* to_string(TopologySpec::Kind k);
 
 /// An explicit node/link graph for net::Fabric. Node indices are fabric

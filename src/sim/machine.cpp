@@ -10,8 +10,8 @@ namespace {
 // Per-thread execution context. t_proc points at the simulated process
 // whose fiber is currently executing on this OS thread (nullptr in driver
 // context); t_in_machine is set while any machine code — driver loop or
-// process fiber — runs on this thread, so re-entrant calls (spawn from a
-// body, kill from a driver callback) skip the lock.
+// process fiber — runs on this thread, so a kill() from inside leaves the
+// victim to the running loop instead of driving it to quiescence itself.
 thread_local Process* t_proc = nullptr;
 thread_local bool t_in_machine = false;
 }  // namespace
@@ -29,8 +29,6 @@ const char* to_string(ProcState s) {
   }
   return "?";
 }
-
-bool Machine::in_machine_context() { return t_in_machine; }
 
 Machine::Machine(std::uint64_t seed)
     : ctx_switch_metric_(metrics_.counter("sim.context_switches")),
@@ -57,7 +55,6 @@ Machine::Machine(std::uint64_t seed)
 Machine::~Machine() { shutdown(); }
 
 void Machine::shutdown() {
-  Lock lk(mu_);
   if (shutdown_done_) return;
   const bool was_in_machine = t_in_machine;
   t_in_machine = true;
@@ -69,9 +66,9 @@ void Machine::shutdown() {
   // Give every killed process the fiber so it can observe the kill and
   // unwind. Loop because exit hooks may ready further processes.
   for (;;) {
-    schedule_locked();
+    schedule();
     if (running_ == nullptr) break;  // nothing ready => all unwound
-    switch_to_running_locked();
+    switch_to_running();
   }
   t_in_machine = was_in_machine;
   shutdown_done_ = true;
@@ -81,16 +78,6 @@ void Machine::shutdown() {
 
 Process* Machine::spawn(std::string name, std::function<void()> body,
                         int priority) {
-  if (t_in_machine) return spawn_locked(std::move(name), std::move(body), priority);
-  Lock lk(mu_);
-  t_in_machine = true;
-  Process* p = spawn_locked(std::move(name), std::move(body), priority);
-  t_in_machine = false;
-  return p;
-}
-
-Process* Machine::spawn_locked(std::string name, std::function<void()> body,
-                               int priority) {
   if (shutting_down_) return nullptr;
   if (live_count_ >= kMaxProcs) {
     trace_.emit(now_, -1, TraceKind::kProcess, "proc.table_full",
@@ -103,7 +90,7 @@ Process* Machine::spawn_locked(std::string name, std::function<void()> body,
   Process* p = owned.get();
   procs_.push_back(std::move(owned));
   ++live_count_;
-  push_ready_locked(p);
+  push_ready(p);
   trace_.emit(now_, p->pid_, TraceKind::kProcess, "proc.spawn", p->name_);
   p->machine_ = this;
   p->body_ = std::move(body);
@@ -123,7 +110,7 @@ void Machine::fiber_trampoline(unsigned hi, unsigned lo) {
 void Machine::fiber_entry(Process* p) {
   fiber_on_entry(p->fiber_);
   t_proc = p;
-  reap_pending_locked();
+  reap_pending();
   bool crashed = false;
   std::string reason;
   try {
@@ -142,7 +129,7 @@ void Machine::fiber_entry(Process* p) {
     crashed = true;
     reason = "unknown exception";
   }
-  retire_locked(p, crashed, std::move(reason));
+  retire(p, crashed, std::move(reason));
   p->body_ = nullptr;  // release captured state before the stack goes away
   t_proc = nullptr;
   pending_reap_ = p;  // whoever gains control recycles our stack
@@ -151,7 +138,7 @@ void Machine::fiber_entry(Process* p) {
   fiber_switch_final(p->fiber_, target);
 }
 
-void Machine::retire_locked(Process* p, bool crashed, std::string reason) {
+void Machine::retire(Process* p, bool crashed, std::string reason) {
   // Publish the death cause before exit hooks run: kernel personalities
   // distinguish crashes/kills from voluntary exits in their cleanup.
   p->crashed_ = crashed;
@@ -172,22 +159,22 @@ void Machine::retire_locked(Process* p, bool crashed, std::string reason) {
     trace_.emit(now_, p->pid_, TraceKind::kProcess, "proc.exit", p->name_);
   }
   if (running_ == p) running_ = nullptr;
-  schedule_locked();
+  schedule();
 }
 
 // ---- Scheduling ----
 
-void Machine::push_ready_locked(Process* p) {
+void Machine::push_ready(Process* p) {
   ready_[p->priority_].push_back(p);
   ready_bits_ |= 1u << p->priority_;
 }
 
-void Machine::push_ready_front_locked(Process* p) {
+void Machine::push_ready_front(Process* p) {
   ready_[p->priority_].push_front(p);
   ready_bits_ |= 1u << p->priority_;
 }
 
-Process* Machine::pop_ready_locked() {
+Process* Machine::pop_ready() {
   if (ready_bits_ == 0) return nullptr;
   const int pr = std::countr_zero(ready_bits_);
   auto& q = ready_[pr];
@@ -197,9 +184,9 @@ Process* Machine::pop_ready_locked() {
   return p;
 }
 
-void Machine::schedule_locked() {
+void Machine::schedule() {
   if (running_ != nullptr) return;  // baton already assigned
-  Process* p = pop_ready_locked();
+  Process* p = pop_ready();
   if (p == nullptr) return;
   p->state_ = ProcState::kRunning;
   running_ = p;
@@ -210,25 +197,25 @@ void Machine::schedule_locked() {
   last_scheduled_ = p;
 }
 
-void Machine::switch_out_locked(Process* p) {
+void Machine::switch_out(Process* p) {
   FiberContext& target =
       running_ != nullptr ? running_->fiber_ : driver_ctx_;
   t_proc = nullptr;
   fiber_switch(p->fiber_, target);
   // Scheduled again: we own execution until the next give-up point.
   t_proc = p;
-  reap_pending_locked();
+  reap_pending();
   if (p->killed_) throw KilledError{};
 }
 
-void Machine::switch_to_running_locked() {
+void Machine::switch_to_running() {
   fiber_switch(driver_ctx_, running_->fiber_);
   // The fibers handed back: nothing runnable, or the pause deadline fired.
   t_proc = nullptr;
-  reap_pending_locked();
+  reap_pending();
 }
 
-void Machine::reap_pending_locked() {
+void Machine::reap_pending() {
   Process* dead = pending_reap_;
   if (dead == nullptr) return;
   pending_reap_ = nullptr;
@@ -255,8 +242,8 @@ void Machine::block_current(const char* reason) {
   p->block_reason_ = reason;
   ++p->wake_seq_;
   running_ = nullptr;
-  schedule_locked();
-  switch_out_locked(p);
+  schedule();
+  switch_out(p);
 }
 
 void Machine::make_ready(Process* p) {
@@ -266,8 +253,8 @@ void Machine::make_ready(Process* p) {
     return;
   }
   p->state_ = ProcState::kReady;
-  push_ready_locked(p);
-  schedule_locked();
+  push_ready(p);
+  schedule();
 }
 
 void Machine::suspend(Process* p) {
@@ -298,24 +285,17 @@ void Machine::resume(Process* p) {
 
 void Machine::kill(Process* p) {
   if (p == nullptr || p->state_ == ProcState::kZombie) return;
-  if (t_in_machine) {
-    p->killed_ = true;
-    p->suspended_ = false;  // kill overrides suspension
-    if (p->state_ == ProcState::kBlocked) make_ready(p);
-    return;
-  }
-  Lock lk(mu_);
-  t_in_machine = true;
   p->killed_ = true;
   p->suspended_ = false;  // kill overrides suspension
   if (p->state_ == ProcState::kBlocked) make_ready(p);
-  // No driver loop is active (we got the lock from outside), so drive the
-  // victim — and anything its unwinding readies — to quiescence here. This
-  // mirrors the OS-thread implementation, where the woken victim ran as
-  // soon as the killer released the lock.
+  if (t_in_machine) return;
+  // No driver loop is active, so drive the victim — and anything its
+  // unwinding readies — to quiescence here: a kill from the driver is
+  // complete when it returns.
+  t_in_machine = true;
   if (running_ != nullptr) {
     fiber_bind_native(driver_ctx_);
-    while (running_ != nullptr) switch_to_running_locked();
+    while (running_ != nullptr) switch_to_running();
   }
   t_in_machine = false;
 }
@@ -324,22 +304,22 @@ void Machine::yield() {
   Process* p = t_proc;
   assert(p != nullptr && "yield outside process context");
   p->state_ = ProcState::kReady;
-  push_ready_locked(p);
+  push_ready(p);
   running_ = nullptr;
-  schedule_locked();
-  switch_out_locked(p);
+  schedule();
+  switch_out(p);
 }
 
-void Machine::maybe_preempt_locked() {
+void Machine::maybe_preempt() {
   Process* p = running_;
   if (p == nullptr || p != t_proc) return;
   // Anyone ready at a strictly higher priority? One mask test.
   if ((ready_bits_ & ((1u << p->priority_) - 1)) == 0) return;
   p->state_ = ProcState::kReady;
-  push_ready_locked(p);
+  push_ready(p);
   running_ = nullptr;
-  schedule_locked();
-  switch_out_locked(p);
+  schedule();
+  switch_out(p);
 }
 
 // ---- Virtual time ----
@@ -347,7 +327,7 @@ void Machine::maybe_preempt_locked() {
 void Machine::charge(Duration cpu) {
   assert(t_proc != nullptr && "charge outside process context");
   now_ += cpu;
-  fire_due_timers_locked();
+  fire_due_timers();
   if (pause_requested_ && running_ == t_proc) {
     // The driver's run_until() deadline passed: park ourselves as ready
     // (not blocked) and hand control back without scheduling a successor.
@@ -358,12 +338,12 @@ void Machine::charge(Duration cpu) {
     // smaller steps than the epoch barrier.
     Process* p = t_proc;
     p->state_ = ProcState::kReady;
-    push_ready_front_locked(p);
+    push_ready_front(p);
     running_ = nullptr;
-    switch_out_locked(p);  // running_ is null => straight to the driver
+    switch_out(p);  // running_ is null => straight to the driver
     return;
   }
-  maybe_preempt_locked();
+  maybe_preempt();
 }
 
 void Machine::sleep_until(Time t) {
@@ -389,7 +369,7 @@ void Machine::sleep_until(Time t) {
 
 void Machine::sleep_for(Duration d) { sleep_until(now_ + d); }
 
-void Machine::fire_due_timers_locked() {
+void Machine::fire_due_timers() {
   while (timers_.min_when() <= now_) {
     Timer t = timers_.pop();
     if (t.pid >= 0) {
@@ -409,43 +389,23 @@ void Machine::fire_due_timers_locked() {
 }
 
 void Machine::at(Time t, std::function<void()> fn) {
-  if (t_in_machine) {
-    timers_.push(Timer{t, ++timer_seq_, -1, 0, std::move(fn), 0});
-    return;
-  }
-  Lock lk(mu_);
   timers_.push(Timer{t, ++timer_seq_, -1, 0, std::move(fn), 0});
 }
 
 void Machine::every(Time start, Duration period, std::function<void()> fn) {
   assert(period > 0);
-  if (t_in_machine) {
-    timers_.push(Timer{start, ++timer_seq_, -1, 0, std::move(fn), period});
-    return;
-  }
-  Lock lk(mu_);
   timers_.push(Timer{start, ++timer_seq_, -1, 0, std::move(fn), period});
 }
 
 // ---- The driver loop ----
 
-void Machine::run() {
-  Lock lk(mu_);
-  run_locked(lk, 0, /*bounded=*/false);
-}
+void Machine::run() { drive(0, /*bounded=*/false); }
 
-void Machine::run_until(Time t) {
-  Lock lk(mu_);
-  run_locked(lk, t, /*bounded=*/true);
-}
+void Machine::run_until(Time t) { drive(t, /*bounded=*/true); }
 
-void Machine::run_for(Duration d) {
-  Lock lk(mu_);
-  run_locked(lk, now_ + d, /*bounded=*/true);
-}
+void Machine::run_for(Duration d) { drive(now_ + d, /*bounded=*/true); }
 
 Time Machine::next_event_time() const {
-  Lock lk(mu_);
   if (running_ != nullptr || ready_bits_ != 0) return now_;
   if (timers_.empty()) return kTimeNever;
   // A timer can sit at <= now_ (a stale run_until deadline whose run
@@ -454,8 +414,7 @@ Time Machine::next_event_time() const {
   return std::max(now_, timers_.min_when());
 }
 
-void Machine::run_locked(Lock& lk, Time limit, bool bounded) {
-  (void)lk;
+void Machine::drive(Time limit, bool bounded) {
   t_in_machine = true;
   fiber_bind_native(driver_ctx_);
   if (bounded) {
@@ -468,12 +427,12 @@ void Machine::run_locked(Lock& lk, Time limit, bool bounded) {
                        [this] { pause_requested_ = true; }, 0});
   }
   for (;;) {
-    schedule_locked();
+    schedule();
     // Fibers hand control back only when nothing is runnable or the pause
     // deadline fired — the same condition the old idle wait asserted.
-    if (running_ != nullptr) switch_to_running_locked();
+    if (running_ != nullptr) switch_to_running();
     if (bounded && now_ >= limit) break;
-    if (any_ready_locked()) continue;  // a driver callback readied someone
+    if (any_ready()) continue;  // a driver callback readied someone
     if (timers_.empty()) {
       if (bounded && now_ < limit) now_ = limit;
       break;
@@ -484,7 +443,7 @@ void Machine::run_locked(Lock& lk, Time limit, bool bounded) {
       break;
     }
     now_ = std::max(now_, next);
-    fire_due_timers_locked();
+    fire_due_timers();
   }
   pause_requested_ = false;
   t_in_machine = false;
@@ -493,9 +452,6 @@ void Machine::run_locked(Lock& lk, Time limit, bool bounded) {
 // ---- Introspection ----
 
 std::vector<Process*> Machine::live_processes() {
-  const bool locked = t_in_machine;
-  Lock lk(mu_, std::defer_lock);
-  if (!locked) lk.lock();
   std::vector<Process*> out;
   for (auto& up : procs_) {
     if (up->state_ != ProcState::kZombie) out.push_back(up.get());
@@ -504,9 +460,7 @@ std::vector<Process*> Machine::live_processes() {
 }
 
 Process* Machine::find_process(int pid) {
-  // Callers on the driver thread after run() has returned see a quiescent
-  // machine; callers in machine context hold the lock. Either way a linear
-  // scan over an append-only vector is safe and fast at our scale.
+  // A linear scan over an append-only vector is fast at our scale.
   for (auto& up : procs_) {
     if (up->pid_ == pid) return up.get();
   }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -208,6 +207,11 @@ class ProcRing {
 /// both makes the interleaving deterministic and keeps a simulated context
 /// switch off the syscall path entirely. Given a fixed seed and spawn
 /// order the whole simulation is reproducible.
+///
+/// A machine takes no lock: one thread at a time drives it. Campaign and
+/// daemon cells each build their own, and net::Fabric shards whole
+/// components across pool workers and joins them before any read that
+/// crosses components.
 class Machine {
  public:
   static constexpr int kNumPriorities = 16;
@@ -319,9 +323,6 @@ class Machine {
   /// materialising a fresh vector via live_processes().
   template <typename F>
   void for_each_live(F&& f) {
-    const bool locked = in_machine_context();
-    Lock lk(mu_, std::defer_lock);
-    if (!locked) lk.lock();
     for (auto& up : procs_) {
       if (up->state_ != ProcState::kZombie) f(*up);
     }
@@ -384,36 +385,30 @@ class Machine {
     }
   };
 
-  using Lock = std::unique_lock<std::mutex>;
-
-  void run_locked(Lock& lk, Time limit, bool bounded);
-  void schedule_locked();
-  void fire_due_timers_locked();
-  bool any_ready_locked() const { return ready_bits_ != 0; }
+  void drive(Time limit, bool bounded);
+  void schedule();
+  void fire_due_timers();
+  bool any_ready() const { return ready_bits_ != 0; }
   /// Enqueue a ready process, maintaining the priority bitmap.
-  void push_ready_locked(Process* p);
-  void push_ready_front_locked(Process* p);
+  void push_ready(Process* p);
+  void push_ready_front(Process* p);
   /// Dequeue the highest-priority ready process (nullptr when none). O(1):
   /// one count-trailing-zeros over the bitmap instead of a queue scan.
-  Process* pop_ready_locked();
+  Process* pop_ready();
   /// Give up execution from process fiber `p`: switch to whatever
-  /// schedule_locked picked (or back to the driver when nothing is
-  /// runnable). Throws KilledError on resumption if `p` was killed.
-  void switch_out_locked(Process* p);
+  /// schedule picked (or back to the driver when nothing is runnable).
+  /// Throws KilledError on resumption if `p` was killed.
+  void switch_out(Process* p);
   /// Driver side: switch into running_ and take control back when the
   /// fibers have nothing left to do (or the pause deadline fired).
-  void switch_to_running_locked();
+  void switch_to_running();
   /// Recycle the stack of a fiber that finished since the last switch.
-  void reap_pending_locked();
-  void retire_locked(Process* p, bool crashed, std::string reason);
+  void reap_pending();
+  void retire(Process* p, bool crashed, std::string reason);
   void fiber_entry(Process* p);
   static void fiber_trampoline(unsigned hi, unsigned lo);
-  Process* spawn_locked(std::string name, std::function<void()> body,
-                        int priority);
-  void maybe_preempt_locked();
-  static bool in_machine_context();
+  void maybe_preempt();
 
-  mutable std::mutex mu_;
   Time now_ = 0;
   Duration syscall_cost_ = 1;
   TraceLog trace_;

@@ -28,22 +28,22 @@ TEST(Cli, FlagGrammarCoversSharedOptions) {
   EXPECT_TRUE(a.error.empty());
   EXPECT_EQ(a.mode, "fabric");
   EXPECT_TRUE(a.has_platform);
-  EXPECT_EQ(a.platform, mkbas::bas::Platform::kSel4);
-  EXPECT_EQ(a.scenario, "uds");
+  EXPECT_EQ(a.request.platform, mkbas::bas::Platform::kSel4);
+  EXPECT_EQ(a.request.scenario, "uds");
   EXPECT_TRUE(a.has_seed);
-  EXPECT_EQ(a.seed, 9u);
-  EXPECT_EQ(a.zones, 16);
-  EXPECT_EQ(a.jobs, 4);
-  EXPECT_EQ(a.artifacts[core::ArtifactKind::kSummary], "s.json");
-  EXPECT_EQ(a.artifacts[core::ArtifactKind::kMetrics], "m.json");
-  EXPECT_EQ(a.artifacts[core::ArtifactKind::kTrace], "t.json");
-  EXPECT_TRUE(a.artifacts.any());
-  EXPECT_EQ(a.artifacts.mask(),
+  EXPECT_EQ(a.request.seed, 9u);
+  EXPECT_EQ(a.request.zones, 16);
+  EXPECT_EQ(a.request.jobs, 4);
+  EXPECT_EQ(a.request.artifacts[core::ArtifactKind::kSummary], "s.json");
+  EXPECT_EQ(a.request.artifacts[core::ArtifactKind::kMetrics], "m.json");
+  EXPECT_EQ(a.request.artifacts[core::ArtifactKind::kTrace], "t.json");
+  EXPECT_TRUE(a.request.artifacts.any());
+  EXPECT_EQ(a.request.artifacts.mask(),
             core::artifact_bit(core::ArtifactKind::kSummary) |
                 core::artifact_bit(core::ArtifactKind::kMetrics) |
                 core::artifact_bit(core::ArtifactKind::kTrace));
   EXPECT_TRUE(a.has_attack);
-  EXPECT_EQ(a.attack, "spoof-write");
+  EXPECT_EQ(a.request.attack, "spoof-write");
 }
 
 TEST(Cli, EveryArtifactFlagFillsItsSlot) {
@@ -57,7 +57,8 @@ TEST(Cli, EveryArtifactFlagFillsItsSlot) {
   const char* expect[core::kArtifactKinds] = {"a", "b", "c", "d", "e", "f",
                                               "g", "h", "i", "j", "k", "l"};
   for (int k = 0; k < core::kArtifactKinds; ++k) {
-    EXPECT_EQ(a.artifacts[static_cast<core::ArtifactKind>(k)], expect[k]);
+    EXPECT_EQ(a.request.artifacts[static_cast<core::ArtifactKind>(k)],
+              expect[k]);
   }
 }
 
@@ -66,17 +67,17 @@ TEST(Cli, TopologyAndSyncFlagsParse) {
                         "--buildings", "3", "--sync", "epoch", "--lite",
                         "--zones", "1200"});
   EXPECT_TRUE(a.error.empty());
-  EXPECT_EQ(a.topology, mkbas::net::TopologySpec::Kind::kCampus);
-  EXPECT_EQ(a.floors, 4);
-  EXPECT_EQ(a.buildings, 3);
-  EXPECT_EQ(a.sync, mkbas::net::SyncMode::kEpoch);
-  EXPECT_TRUE(a.lite);
-  EXPECT_EQ(a.zones, 1200);
+  EXPECT_EQ(a.request.topology, mkbas::net::TopologySpec::Kind::kCampus);
+  EXPECT_EQ(a.request.floors, 4);
+  EXPECT_EQ(a.request.buildings, 3);
+  EXPECT_EQ(a.request.sync, mkbas::net::SyncMode::kEpoch);
+  EXPECT_TRUE(a.request.lite);
+  EXPECT_EQ(a.request.zones, 1200);
 
   const auto d = parse({"fabric"});
-  EXPECT_EQ(d.topology, mkbas::net::TopologySpec::Kind::kFlat);
-  EXPECT_EQ(d.sync, mkbas::net::SyncMode::kLookahead);
-  EXPECT_FALSE(d.lite);
+  EXPECT_EQ(d.request.topology, mkbas::net::TopologySpec::Kind::kFlat);
+  EXPECT_EQ(d.request.sync, mkbas::net::SyncMode::kLookahead);
+  EXPECT_FALSE(d.request.lite);
 
   const auto bad = parse({"fabric", "--topology", "mesh"});
   EXPECT_FALSE(bad.error.empty());
@@ -90,9 +91,9 @@ TEST(Cli, DefaultsWhenNothingGiven) {
   EXPECT_EQ(a.mode, "matrix");
   EXPECT_FALSE(a.has_platform);
   EXPECT_FALSE(a.has_seed);
-  EXPECT_EQ(a.scenario, "temp");
-  EXPECT_EQ(a.zones, 4);
-  EXPECT_EQ(a.jobs, 1);
+  EXPECT_EQ(a.request.scenario, "temp");
+  EXPECT_EQ(a.request.zones, 4);
+  EXPECT_EQ(a.request.jobs, 1);
   EXPECT_TRUE(a.pos.empty());
 }
 
@@ -104,7 +105,7 @@ TEST(Cli, LegacyPositionalSpellingsAreInertPositionals) {
   EXPECT_TRUE(a.error.empty());
   EXPECT_EQ(a.mode, "attack");
   EXPECT_FALSE(a.has_platform);
-  EXPECT_FALSE(a.root);
+  EXPECT_FALSE(a.request.root);
   ASSERT_EQ(a.pos.size(), 3u);
   EXPECT_EQ(a.pos[0], "linux");
   EXPECT_EQ(a.pos[1], "kill");
@@ -127,7 +128,7 @@ TEST(Cli, LegacyPositionalSpellingsAreInertPositionals) {
   EXPECT_TRUE(f.error.empty());
   EXPECT_FALSE(f.has_platform);
   EXPECT_FALSE(f.has_seed);
-  EXPECT_FALSE(f.no_probe);
+  EXPECT_TRUE(f.request.probe);
   EXPECT_EQ(f.pos.size(), 4u);
 }
 
@@ -145,7 +146,7 @@ TEST(Cli, ServeFlagsParse) {
   EXPECT_TRUE(a.error.empty());
   EXPECT_EQ(a.mode, "serve");
   EXPECT_EQ(a.port, 0);
-  EXPECT_EQ(a.jobs, 3);
+  EXPECT_EQ(a.request.jobs, 3);
   EXPECT_EQ(a.batch, 5);
   EXPECT_EQ(a.slow_ms, 40);
   EXPECT_EQ(a.store_cap, 64);
@@ -163,8 +164,8 @@ TEST(Cli, CampaignSubmodeIsPositional) {
   EXPECT_EQ(a.mode, "campaign");
   ASSERT_EQ(a.pos.size(), 1u);
   EXPECT_EQ(a.pos[0], "fabric");
-  EXPECT_EQ(a.zones, 8);
-  EXPECT_EQ(a.jobs, 2);
+  EXPECT_EQ(a.request.zones, 8);
+  EXPECT_EQ(a.request.jobs, 2);
 }
 
 TEST(Cli, UnknownFlagAndMissingValueAreErrors) {
@@ -203,4 +204,31 @@ TEST(Cli, ParserHelpersRoundTrip) {
   EXPECT_TRUE(core::parse_fabric_attack("replay", &f));
   EXPECT_TRUE(core::parse_fabric_attack("flood", &f));
   EXPECT_FALSE(core::parse_fabric_attack("kill", &f));
+}
+
+TEST(Cli, MalformedNumbersAreErrors) {
+  // Numbers go through the JSON number grammar: plain digits only, no
+  // sign, fraction, suffix or overflow.
+  for (const char* seed : {"abc", "-1", "7x", "18446744073709551616"}) {
+    const auto a = parse({"benign", "--platform", "minix", "--seed", seed});
+    EXPECT_NE(a.error.find("'seed'"), std::string::npos) << seed << a.error;
+  }
+  EXPECT_FALSE(parse({"fabric", "--zones", "2x"}).error.empty());
+  EXPECT_FALSE(parse({"fabric", "--jobs", "1.5"}).error.empty());
+  EXPECT_FALSE(parse({"serve", "--port", "abc"}).error.empty());
+  EXPECT_FALSE(parse({"serve", "--jobs", "abc"}).error.empty());
+  EXPECT_FALSE(parse({"serve", "--batch", "-2"}).error.empty());
+  EXPECT_FALSE(parse({"serve", "--slow-ms", "1e3"}).error.empty());
+  EXPECT_FALSE(parse({"serve", "--store-cap", "2147483648"}).error.empty());
+  // The largest seed still parses exactly.
+  const auto max = parse({"benign", "--seed", "18446744073709551615"});
+  EXPECT_TRUE(max.error.empty()) << max.error;
+  EXPECT_EQ(max.request.seed, 18446744073709551615ull);
+}
+
+TEST(Cli, TopologiesTheFabricCannotBuildAreErrors) {
+  for (const char* kind : {"line", "star"}) {
+    const auto a = parse({"fabric", "--topology", kind});
+    EXPECT_NE(a.error.find("flat|tree|campus"), std::string::npos) << a.error;
+  }
 }

@@ -396,3 +396,165 @@ TEST(ArtifactKinds, NamesRoundTripAndProfilesAreVolatile) {
                 core::artifact_bit(core::ArtifactKind::kSummary),
             0u);
 }
+
+TEST(RequestParse, TopologyAcceptsOnlyWhatTheFabricBuilds) {
+  // net::Topology also builds line and star for the sync battery, but
+  // run_fabric does not: the request grammar turns them away up front.
+  for (const char* kind : {"line", "star"}) {
+    const std::string err = parse_error(
+        std::string("{\"mode\":\"fabric\",\"topology\":\"") + kind + "\"}");
+    EXPECT_NE(err.find("'topology'"), std::string::npos) << err;
+    EXPECT_NE(err.find("(expected flat|tree|campus)"), std::string::npos)
+        << err;
+  }
+  for (const char* kind : {"flat", "tree", "campus"}) {
+    parse_or_die(std::string("{\"mode\":\"fabric\",\"topology\":\"") + kind +
+                 "\"}");
+  }
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation of the canonical body of every mode. Fixed seed and
+// budget: no input may crash or hang the parser, every accepted body's
+// canonical JSON is a fixed point, and every accepted request spelled as
+// flags (this file's own mapping) is the same cell through the CLI.
+
+namespace {
+
+/// The request as experiment_runner flags, spelled independently of the
+/// grammar tables under test.
+std::vector<std::string> as_flags(const core::ExperimentRequest& r) {
+  const std::string mode = core::to_string(r.mode);
+  const std::size_t dot = mode.find('.');
+  std::vector<std::string> argv = {"experiment_runner", mode.substr(0, dot)};
+  if (dot != std::string::npos) argv.push_back(mode.substr(dot + 1));
+  const auto flag = [&](const char* f, const std::string& v) {
+    argv.push_back(f);
+    argv.push_back(v);
+  };
+  flag("--platform", core::platform_name(r.platform));
+  flag("--scenario", r.scenario);
+  flag("--seed", std::to_string(r.seed));
+  flag("--zones", std::to_string(r.zones));
+  flag("--seeds", std::to_string(r.seeds));
+  flag("--floors", std::to_string(r.floors));
+  flag("--buildings", std::to_string(r.buildings));
+  flag("--jobs", std::to_string(r.jobs));
+  flag("--topology", mkbas::net::to_string(r.topology));
+  flag("--sync",
+       r.sync == mkbas::net::SyncMode::kEpoch ? "epoch" : "lookahead");
+  if (r.attack != "none") flag("--attack", r.attack);
+  if (r.lite) argv.push_back("--lite");
+  if (r.root) argv.push_back("--root");
+  if (r.quota) argv.push_back("--quota");
+  if (r.acl) argv.push_back("--acl");
+  if (!r.probe) argv.push_back("--no-probe");
+  if (r.format != "table") argv.push_back("--" + r.format);
+  return argv;
+}
+
+/// Top-level members of a body ("\"key\":value"), split at every comma:
+/// exact for the seed requests' canonical bodies, whose values hold
+/// none, and merely more noise for an already mutated one.
+std::vector<std::string> members(const std::string& body) {
+  std::vector<std::string> out(1);
+  for (std::size_t i = 1; i + 1 < body.size(); ++i) {
+    if (body[i] == ',') {
+      out.emplace_back();
+    } else {
+      out.back() += body[i];
+    }
+  }
+  return out;
+}
+
+std::string object_of(const std::vector<std::string>& ms) {
+  std::string s = "{";
+  for (std::size_t i = 0; i < ms.size(); ++i) s += (i ? "," : "") + ms[i];
+  return s + "}";
+}
+
+}  // namespace
+
+TEST(RequestFuzz, MutatedBodiesNeverCrashAndAcceptedOnesMatchTheCli) {
+  const char* const kValues[] = {
+      "true", "false", "null", "[]", "{}", "\"x\"", "\"\"", "0", "1", "-1",
+      "1.5", "1e3", "01", "2147483647", "2147483648", "18446744073709551615",
+      "18446744073709551616", "\"none\"", "\"kill\"", "\"replay\"",
+      "\"flood\"", "\"line\"", "\"star\"", "\"tree\"", "\"campus\"",
+      "\"epoch\"", "\"csv\"", "\"md\"", "\"yaml\"", "\"sel4\"", "\"linux\"",
+      "\"uds\"", "\"bsl3\"", "\"campaign.fabric\"", "\"attack\""};
+  std::uint64_t state = 0x6d6b626173ULL;  // fixed seed: "mkbas"
+  const auto next = [&state](std::uint64_t n) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % n;
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < core::kRequestModes; ++i) {
+    core::ExperimentRequest seed_req;
+    seed_req.mode = static_cast<core::RequestMode>(i);
+    if (seed_req.mode == core::RequestMode::kAttack) seed_req.attack = "kill";
+    if (seed_req.mode == core::RequestMode::kFabric ||
+        seed_req.mode == core::RequestMode::kCampaignFabric) {
+      seed_req.attack = "replay";
+    }
+    const std::string base = seed_req.to_canonical_json();
+    for (int n = 0; n < 1500; ++n) {
+      std::string body = base;
+      for (std::uint64_t k = 1 + next(3); k > 0 && !body.empty(); --k) {
+        std::vector<std::string> ms = members(body);
+        const std::size_t j = next(ms.size());
+        const std::string key = ms[j].substr(0, ms[j].find(':') + 1);
+        switch (next(6)) {
+          case 0:  // flip one bit of one byte
+            body[next(body.size())] ^= static_cast<char>(1u << next(8));
+            continue;
+          case 1:  // truncate
+            body.resize(next(body.size()));
+            continue;
+          case 2:  // drop a field
+            ms.erase(ms.begin() + static_cast<std::ptrdiff_t>(j));
+            break;
+          case 3:  // duplicate a field
+            ms.insert(ms.begin() + static_cast<std::ptrdiff_t>(next(ms.size())),
+                      ms[j]);
+            break;
+          default:  // swap in another type, an out-of-range number or word
+            ms[j] = key + kValues[next(std::size(kValues))];
+            break;
+        }
+        body = object_of(ms);
+      }
+
+      core::ExperimentRequest r;
+      std::string err;
+      if (!core::parse_request_json(body, &r, &err)) {
+        ASSERT_FALSE(err.empty()) << body;
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      const std::string canonical = r.to_canonical_json();
+      core::ExperimentRequest back;
+      ASSERT_TRUE(core::parse_request_json(canonical, &back, &err))
+          << body << " -> " << canonical << ": " << err;
+      ASSERT_EQ(back.to_canonical_json(), canonical) << body;
+
+      if (r.scenario.find('\0') != std::string::npos) continue;  // not argv
+      const std::vector<std::string> words = as_flags(r);
+      std::vector<char*> argv;
+      for (const auto& w : words) argv.push_back(const_cast<char*>(w.c_str()));
+      const core::CliArgs a =
+          core::parse_cli(static_cast<int>(argv.size()), argv.data());
+      ASSERT_TRUE(a.error.empty()) << body << ": " << a.error;
+      core::ExperimentRequest cli;
+      ASSERT_TRUE(core::request_from_cli(a, &cli, &err)) << body << ": " << err;
+      ASSERT_EQ(cli.cell_key(), r.cell_key())
+          << body << "\n  cli: " << cli.to_canonical_json();
+    }
+  }
+  // Both outcomes are exercised, not just the reject path.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
+}

@@ -228,6 +228,26 @@ TEST(Daemon, ScenarioWithoutAPlantIs400AndTheDaemonStaysUp) {
   d.shutdown();
 }
 
+TEST(Daemon, UnbuildableTopologyIs400AndTheDaemonStaysUp) {
+  // run_fabric builds flat, tree and campus only: line is refused before
+  // anything is queued, not accepted and then failed in a worker.
+  serve::DaemonOptions opts;
+  opts.port = 0;
+  opts.jobs = 1;
+  serve::Daemon d(opts);
+  std::string err;
+  ASSERT_TRUE(d.start(&err)) << err;
+  auto r = d.handle(
+      make_req("POST", "/run", "{\"mode\":\"fabric\",\"topology\":\"line\"}"));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_TRUE(contains(r.body, "flat|tree|campus")) << r.body;
+  EXPECT_EQ(d.store().size(), 0u);
+  auto status = d.handle(make_req("GET", "/status"));
+  EXPECT_EQ(status.status, 200);
+  EXPECT_TRUE(contains(status.body, "\"executions\":0")) << status.body;
+  d.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Full loopback exercise over real sockets.
 
