@@ -9,9 +9,7 @@
 #include "core/experiment.hpp"
 #include "core/fabric_run.hpp"
 #include "core/hash.hpp"
-#include "obs/health.hpp"
-#include "obs/metrics.hpp"
-#include "obs/series.hpp"
+#include "obs/telemetry.hpp"
 
 namespace mkbas::core {
 
@@ -54,7 +52,7 @@ struct CampaignCell {
 
 /// What came back from one cell. Exactly one of attack/fault/benign is
 /// meaningful (matching `kind`); the observability snapshot is always
-/// taken. Move-only because it carries the cell's merged registry.
+/// taken.
 struct CellResult {
   std::string name;
   CellKind kind = CellKind::kBenign;
@@ -62,21 +60,19 @@ struct CellResult {
   FaultRunResult fault;
   BenignRun benign;
   FabricRunResult fabric;
-  /// Registry snapshot taken while the cell's Machine was still alive.
-  std::unique_ptr<obs::MetricsRegistry> metrics;
+  /// Telemetry snapshot, folded while the cell's Machine was still alive
+  /// and after its health detectors were flushed at the cell's end time
+  /// (closed spans only — cells quiesce before the observe hook fires).
+  /// A fabric cell takes run_fabric's node-order fold.
+  std::shared_ptr<const obs::Telemetry> telemetry;
+  /// Views into `telemetry` (null without one), for callers that read
+  /// the cell's registry or span store directly.
+  const obs::MetricsRegistry* metrics = nullptr;
+  const obs::SpanStore* spans = nullptr;
+  /// The snapshot's parts rendered; summary_json hashes them.
   std::string metrics_json;
-  /// Span/audit snapshots (closed spans only — cells quiesce before the
-  /// observe hook fires). Fabric cells fold their nodes in node order.
-  std::unique_ptr<obs::SpanStore> spans;
-  std::unique_ptr<obs::AuditJournal> audit;
   std::string spans_json;
   std::string audit_json;
-  /// Windowed series / health events / flight snapshots, flushed at the
-  /// cell's end time before the snapshot. Fabric cells fold their nodes
-  /// in node order.
-  std::unique_ptr<obs::SeriesStore> series;
-  std::unique_ptr<obs::HealthMonitor> health;
-  std::unique_ptr<obs::FlightRecorder> flight;
   std::string series_json;
   std::string health_json;
   std::string flight_json;
@@ -93,16 +89,15 @@ struct CampaignResult {
   int jobs = 1;
   std::uint64_t steals = 0;      // work-stealing pool diagnostic
   double wall_seconds = 0.0;     // host wall-clock for the whole campaign
-  /// Per-cell registries folded together in cell order.
-  std::string merged_metrics_json;
+  /// Per-cell telemetry folded in cell order — the order-deterministic
+  /// merge the --jobs identity tests diff.
+  std::shared_ptr<const obs::Telemetry> telemetry;
   /// FNV-1a chain over the per-cell trace hashes, in cell order.
   std::uint64_t merged_trace_hash = 0;
-  /// Per-cell span stores / audit journals folded in cell order — the
-  /// order-deterministic merge the --jobs identity tests diff.
+  /// The fold's parts rendered.
+  std::string merged_metrics_json;
   std::string merged_spans_json;
   std::string merged_audit_json;
-  /// Per-cell series / health / flight artifacts folded in cell order;
-  /// same --jobs identity contract as the other merges.
   std::string merged_series_json;
   std::string merged_health_json;
   std::string merged_flight_json;

@@ -37,13 +37,4 @@ ExperimentResponse run_request(const ExperimentRequest& req, unsigned mask);
 /// summary, which the CLI needs for --out and stdout).
 ExperimentResponse run_request(const ExperimentRequest& req);
 
-/// Re-render a deterministic metrics JSON artifact (MetricsRegistry
-/// to_json bytes) as Prometheus text exposition — the `metrics_prom`
-/// artifact. Shares obs::prometheus_render with the daemon's /metrics
-/// scrape, so identical metric state yields identical bytes on both
-/// paths. Returns "" and fills *err when `metrics_json` does not parse
-/// as a metrics export.
-std::string prometheus_from_metrics_json(const std::string& metrics_json,
-                                         std::string* err);
-
 }  // namespace mkbas::core

@@ -20,9 +20,4 @@ std::string attack_rows_to_markdown(const std::vector<AttackRow>& rows);
 /// Benign-run plant history as CSV (time_s, temp_c, heater, alarm).
 std::string benign_history_to_csv(const BenignRun& run);
 
-/// Snapshot of a machine's metrics registry as JSON (counters, gauges,
-/// histograms). Intended for RunOptions::observe hooks and the
-/// experiment_runner's --metrics-out flag.
-std::string metrics_to_json(const sim::Machine& machine);
-
 }  // namespace mkbas::core

@@ -10,14 +10,11 @@ namespace mkbas::obs {
 class MetricsRegistry;
 
 /// Prometheus text exposition (version 0.0.4) over the standard metrics
-/// registry. Two producers share one renderer so a scrape of the serve
-/// daemon and the `--metrics-prom-out` CLI artifact are the same bytes
-/// for the same metric state:
-///
-///  * the daemon renders its live MetricsRegistry directly
-///    (`prometheus_render(reg)`);
-///  * the CLI path re-derives a PromSnapshot from the deterministic
-///    metrics JSON artifact (campaign/run_request.cpp) and renders that.
+/// registry. Every producer renders a live MetricsRegistry with
+/// `prometheus_render(reg)`: the serve daemon's `/metrics` scrape, and
+/// the `metrics_prom` artifact of every run_request mode (a machine's
+/// own registry, or a fabric's or campaign's fold). The same metric
+/// state therefore gives the same bytes on every path.
 ///
 /// Mapping: counters append the conventional `_total` suffix; gauges
 /// pass through; histograms flatten to cumulative `_bucket{le="..."}`
@@ -25,7 +22,7 @@ class MetricsRegistry;
 /// count (overflow included, so the configured bucket range is honest).
 /// Bucket lines whose cumulative count equals the previous rendered one
 /// are elided — the same empty-bucket elision the JSON export applies —
-/// which keeps both producers byte-identical and the scrape compact.
+/// which keeps the scrape compact.
 
 /// One histogram flattened to render-ready form. `bounds`/`cumulative`
 /// are parallel and hold only the bounds worth a `_bucket` line (the
@@ -39,7 +36,7 @@ struct PromHistogram {
 };
 
 /// Registry state flattened for rendering. Entries must be name-sorted
-/// (std::map iteration and the sorted-key JSON artifact both are).
+/// (the registry's std::map iteration is).
 struct PromSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;

@@ -31,24 +31,24 @@ const char* to_string(ProcState s) {
 }
 
 Machine::Machine(std::uint64_t seed)
-    : ctx_switch_metric_(metrics_.counter("sim.context_switches")),
-      kernel_entry_metric_(metrics_.counter("sim.kernel_entries")),
+    : ctx_switch_metric_(metrics().counter("sim.context_switches")),
+      kernel_entry_metric_(metrics().counter("sim.kernel_entries")),
       rng_(seed) {
   // Continuous-telemetry wiring: health signals write windowed series
   // and journal anomalies; the flight recorder snapshots recent
   // telemetry on anomalies, security denials and fault injections (the
   // fault injector triggers it directly).
-  health_.wire(&series_, &audit_, &spans_);
-  flight_.wire(&series_, &spans_, &health_);
-  health_.set_on_event([this](const obs::HealthEvent& e) {
-    flight_.trigger(
+  health().wire(&series(), &audit(), &spans());
+  flight().wire(&series(), &spans(), &health());
+  health().set_on_event([this](const obs::HealthEvent& e) {
+    flight().trigger(
         e.time, "health." + sim::TagRegistry::instance().name(e.signal),
         to_string(e.kind));
   });
-  audit_.set_on_record([this](const obs::AuditEntry& e) {
+  audit().set_on_record([this](const obs::AuditEntry& e) {
     const std::string& kind = sim::TagRegistry::instance().name(e.kind);
     if (kind.find("deny") == std::string::npos) return;
-    flight_.trigger(e.time, "audit." + kind, e.detail);
+    flight().trigger(e.time, "audit." + kind, e.detail);
   });
 }
 
@@ -149,7 +149,7 @@ void Machine::retire(Process* p, bool crashed, std::string reason) {
   --live_count_;
   // Spans the process left open (it died mid-operation) close as
   // abandoned — the trace keeps the gap a reincarnation bridges.
-  spans_.process_gone(p->pid_, now_);
+  spans().process_gone(p->pid_, now_);
   if (crashed) {
     trace_.emit(now_, p->pid_, TraceKind::kProcess, "proc.crash",
                 p->name_ + ": " + p->crash_reason_);

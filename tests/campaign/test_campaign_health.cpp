@@ -171,8 +171,8 @@ TEST(CampaignHealth, BenignCellSnapshotsControlLoopSeries) {
   const core::CampaignResult res = core::run_campaign(cells, 1);
   ASSERT_EQ(res.cells.size(), 1u);
   const core::CellResult& cell = res.cells[0];
-  ASSERT_TRUE(cell.series);
-  EXPECT_GT(cell.series->total_samples(), 0u);
+  ASSERT_TRUE(cell.telemetry);
+  EXPECT_GT(cell.telemetry->series.total_samples(), 0u);
   EXPECT_NE(cell.series_json.find("minix.ctl.jitter@m0"),
             std::string::npos);
   ASSERT_TRUE(jsonlite::valid(cell.health_json)) << cell.health_json;

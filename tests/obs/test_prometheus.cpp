@@ -1,15 +1,11 @@
 // Prometheus text exposition: name sanitization, the counter/gauge/
-// histogram mapping, empty-bucket elision, and the property the two
-// producers hinge on — rendering a live MetricsRegistry and rendering
-// the snapshot re-derived from its deterministic JSON artifact must be
-// byte-identical.
+// histogram mapping and empty-bucket elision.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <string>
 #include <vector>
 
-#include "campaign/run_request.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 
@@ -128,37 +124,4 @@ TEST(Prometheus, RegistryRenderIsValidExposition) {
   EXPECT_TRUE(contains(out, "serve_http_latency_us_run_bucket{le=\"+Inf\"} 5"))
       << out;
   EXPECT_TRUE(contains(out, "serve_http_latency_us_run_count 5")) << out;
-}
-
-TEST(Prometheus, RegistryAndJsonDerivedRendersAreByteIdentical) {
-  // The daemon scrape renders the live registry; --metrics-prom-out
-  // re-derives a snapshot from the deterministic metrics JSON. Same
-  // metric state in, same bytes out.
-  obs::MetricsRegistry reg;
-  reg.counter("a.count").inc(3);
-  reg.counter("z.count").inc(0);
-  reg.gauge("mid.gauge").set(-1.5);
-  auto h = reg.log_histogram("ipc.latency", 2, 1e6);
-  for (double v : {1.0, 2.0, 2.0, 700.0, 1e9}) h.record(v);
-  auto h2 = reg.histogram("explicit.bounds", {10.0, 20.0, 30.0});
-  h2.record(15.0);
-  h2.record(25.0);
-
-  const std::string live = obs::prometheus_render(reg);
-  std::string err;
-  const std::string derived =
-      mkbas::core::prometheus_from_metrics_json(reg.to_json(), &err);
-  EXPECT_TRUE(err.empty()) << err;
-  EXPECT_EQ(live, derived);
-  std::string why;
-  EXPECT_TRUE(valid_exposition(derived, &why)) << why;
-}
-
-TEST(Prometheus, MalformedMetricsJsonIsRejected) {
-  std::string err;
-  EXPECT_EQ(mkbas::core::prometheus_from_metrics_json("not json", &err), "");
-  EXPECT_FALSE(err.empty());
-  err.clear();
-  EXPECT_EQ(mkbas::core::prometheus_from_metrics_json("[1,2]", &err), "");
-  EXPECT_FALSE(err.empty());
 }
