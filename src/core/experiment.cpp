@@ -15,18 +15,6 @@ using attack::Privilege;
 
 namespace {
 
-/// Fold the driver-level knobs (quota ablation, Linux account split) into
-/// the ScenarioConfig the registry factories read. Fields a platform does
-/// not consult are ignored by its factory, so setting them is harmless.
-bas::ScenarioConfig effective_config(Platform platform,
-                                     const RunOptions& opts) {
-  bas::ScenarioConfig cfg = opts.scenario;
-  cfg.enable_quotas = opts.minix_quotas;
-  cfg.linux_separate_accounts = opts.linux_separate_accounts;
-  (void)platform;
-  return cfg;
-}
-
 /// Drives the Fig. 2 benign workload against whichever scenario's console
 /// and plant are handed in.
 void schedule_benign_workload(sim::Machine& m, net::HttpConsole& http,
@@ -70,8 +58,8 @@ BenignRun run_benign(Platform platform, const RunOptions& opts) {
   run.platform = platform;
   sim::Machine m(opts.seed);
 
-  auto sc = bas::make_scenario(m, platform, opts.scenario_variant,
-                               effective_config(platform, opts));
+  auto sc =
+      bas::make_scenario(m, platform, opts.scenario_variant, opts.scenario);
   bas::Plant& plant = plant_of(*sc, "run_benign");
   schedule_benign_workload(m, sc->http(), plant);
   m.run_until(kBenignEnd);
@@ -98,15 +86,14 @@ AttackRow run_attack(Platform platform, AttackKind kind, Privilege priv,
   const sim::Time attack_at = opts.settle;
   const sim::Time run_end = opts.settle + opts.post;
 
-  bas::ScenarioConfig cfg = effective_config(platform, opts);
-  if (platform == Platform::kMinix && opts.minix_quotas) {
+  bas::ScenarioConfig cfg = opts.scenario;
+  if (platform == Platform::kMinix && cfg.enable_quotas) {
     row.platform_label += "(quota)";
   }
   if (platform == Platform::kLinux) {
     // A root attacker only makes sense against the well-configured
     // deployment (separate accounts + queue ACLs), §IV.D.2.
-    cfg.linux_separate_accounts =
-        opts.linux_separate_accounts || priv == Privilege::kRoot;
+    if (priv == Privilege::kRoot) cfg.linux_separate_accounts = true;
     if (cfg.linux_separate_accounts) row.platform_label += "(acl)";
   }
 
@@ -141,7 +128,7 @@ std::vector<AttackRow> run_attack_matrix(const RunOptions& opts) {
       // Ablation: the paper's proposed ACM fork quota stops the bomb.
       if (p == Platform::kMinix && kind == AttackKind::kForkBomb) {
         RunOptions quota_opts = opts;
-        quota_opts.minix_quotas = true;
+        quota_opts.scenario.enable_quotas = true;
         rows.push_back(run_attack(p, kind, Privilege::kCodeExec,
                                   quota_opts));
       }
@@ -212,7 +199,7 @@ FaultRunResult run_fault(Platform platform, const fault::FaultPlan& plan,
 
   fault::FaultInjector injector(m, plan);
 
-  bas::ScenarioConfig cfg = effective_config(platform, opts);
+  bas::ScenarioConfig cfg = opts.scenario;
   switch (platform) {
     case Platform::kMinix:
       cfg.enable_reincarnation = true;  // RS self-healing under test

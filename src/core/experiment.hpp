@@ -25,11 +25,6 @@ struct RunOptions {
   std::string scenario_variant = "temp";
   sim::Duration settle = sim::minutes(12);  // before the compromise
   sim::Duration post = sim::minutes(20);    // after the compromise
-  /// Linux only: per-process accounts + queue ACLs (the well-configured
-  /// system of the paper's second simulation).
-  bool linux_separate_accounts = false;
-  /// MINIX only: enable the ACM syscall-quota extension.
-  bool minix_quotas = false;
   std::uint64_t seed = 1;
   /// Called with the machine after the run finishes but before teardown —
   /// the hook through which callers snapshot the metrics registry or

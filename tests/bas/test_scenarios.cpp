@@ -142,7 +142,7 @@ TEST(BenignScenario, PlatformsProduceComparableControlQuality) {
 
 TEST(BenignScenario, LinuxSeparateAccountsAlsoWorksBenignly) {
   core::RunOptions opts;
-  opts.linux_separate_accounts = true;
+  opts.scenario.linux_separate_accounts = true;
   const auto run = core::run_benign(Platform::kLinux, opts);
   EXPECT_TRUE(run.safety.control_alive);
   EXPECT_FALSE(run.safety.alarm_violation);
@@ -170,7 +170,7 @@ TEST(BenignScenario, MinixFsLogRecordsEnvironment) {
 
 TEST(BenignScenario, MinixWithQuotasWorksBenignly) {
   core::RunOptions opts;
-  opts.minix_quotas = true;
+  opts.scenario.enable_quotas = true;
   const auto run = core::run_benign(Platform::kMinix, opts);
   EXPECT_TRUE(run.safety.control_alive);
   EXPECT_FALSE(run.safety.alarm_violation);

@@ -39,7 +39,7 @@ TEST(AttackLinux, WithoutRootWellConfiguredQueuesHold) {
   // Control experiment: ACL'd queues DO stop a non-root attacker — the
   // paper's "unless each process runs under a unique user account ..."
   core::RunOptions opts;
-  opts.linux_separate_accounts = true;
+  opts.scenario.linux_separate_accounts = true;
   const auto row = core::run_attack(Platform::kLinux,
                                     AttackKind::kSpoofSensor,
                                     Privilege::kCodeExec, opts);
@@ -117,7 +117,7 @@ TEST(AttackMinix, ForkQuotaStopsTheBomb) {
   // The proposed mitigation ("using the ACM to give each system call a
   // quota"), implemented and verified.
   core::RunOptions opts;
-  opts.minix_quotas = true;
+  opts.scenario.enable_quotas = true;
   const auto row = core::run_attack(Platform::kMinix, AttackKind::kForkBomb,
                                     Privilege::kCodeExec, opts);
   EXPECT_FALSE(row.outcome.primitive_succeeded);
@@ -234,4 +234,25 @@ TEST(AttackMatrix, ReproducesThePapersHeadline) {
   EXPECT_GE(linux_compromises, 4);
   EXPECT_EQ(minix_compromises, 0);
   EXPECT_EQ(sel4_compromises, 0);
+}
+
+// The quota and account switches live in ScenarioConfig alone: what a
+// caller sets in RunOptions::scenario reaches the scenario and its label.
+TEST(RunOptions, ScenarioQuotaSwitchReachesTheMinixRun) {
+  core::RunOptions opts;
+  opts.scenario.enable_quotas = true;
+  const auto row = core::run_attack(Platform::kMinix, AttackKind::kForkBomb,
+                                    Privilege::kCodeExec, opts);
+  EXPECT_EQ(row.platform_label, "MINIX3+ACM(quota)");
+  EXPECT_FALSE(row.outcome.primitive_succeeded);
+}
+
+TEST(RunOptions, ScenarioAccountSwitchReachesTheLinuxRun) {
+  core::RunOptions opts;
+  opts.scenario.linux_separate_accounts = true;
+  const auto row = core::run_attack(Platform::kLinux,
+                                    AttackKind::kSpoofSensor,
+                                    Privilege::kCodeExec, opts);
+  EXPECT_EQ(row.platform_label, "Linux(acl)");
+  EXPECT_FALSE(row.outcome.primitive_succeeded);
 }
