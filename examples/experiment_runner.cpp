@@ -24,7 +24,7 @@
 #include <string>
 
 #include "campaign/run_request.hpp"
-#include "core/cli.hpp"
+#include "core/request.hpp"
 #include "serve/daemon.hpp"
 
 namespace core = mkbas::core;

@@ -44,24 +44,6 @@ Runtime::Incoming Runtime::await() {
   return in;
 }
 
-Runtime::Incoming Runtime::await_nb() {
-  Incoming in;
-  if (serve_slot < 0) {
-    in.status = Sel4Error::kEmptySlot;
-    return in;
-  }
-  const auto rr = kernel_->nbrecv(serve_slot, in.msg);
-  in.status = rr.status;
-  if (rr.status == Sel4Error::kOk) {
-    const auto it = serves_.find(rr.badge);
-    if (it != serves_.end()) {
-      in.iface = it->second.iface;
-      in.from = it->second.peer;
-    }
-  }
-  return in;
-}
-
 sel4::Sel4Error Runtime::reply(const sel4::Sel4Msg& msg) {
   return kernel_->reply(msg);
 }

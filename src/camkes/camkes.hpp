@@ -43,7 +43,6 @@ class Runtime {
     sel4::Sel4Msg msg;
   };
   Incoming await();
-  Incoming await_nb();
 
   /// Reply to the call most recently returned by await().
   sel4::Sel4Error reply(const sel4::Sel4Msg& msg);

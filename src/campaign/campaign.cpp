@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 
 #include "campaign/pool.hpp"
 #include "core/hash.hpp"
@@ -35,12 +34,7 @@ CellResult run_cell(const CampaignCell& cell) {
     m.health().flush(m.now());
     auto snapshot = std::make_shared<obs::Telemetry>();
     snapshot->merge_from(m.telemetry());
-    res.metrics_json = snapshot->metrics.to_json();
-    res.spans_json = snapshot->spans.to_json();
-    res.audit_json = snapshot->audit.to_json();
-    res.series_json = snapshot->series.to_json();
-    res.health_json = snapshot->health.to_json();
-    res.flight_json = snapshot->flight.to_json();
+    res.hashes = snapshot->hashes();
     res.telemetry = std::move(snapshot);
     res.trace_hash = trace_hash(m.trace());
     res.trace_events = m.trace().total_emitted();
@@ -58,20 +52,19 @@ CellResult run_cell(const CampaignCell& cell) {
       res.fault =
           run_fault(cell.platform, cell.plan, opts, cell.spoof_probe_at);
       break;
-    case CellKind::kFabric:
+    case CellKind::kFabric: {
       // The fabric already folds its machines in node order and renders
-      // the fold: the cell takes both as they are.
+      // the fold: the cell takes the fold and hashes the renders.
       res.fabric = run_fabric(cell.fabric);
-      res.telemetry = res.fabric.telemetry;
-      res.trace_hash = res.fabric.trace_hash;
-      res.trace_events = res.fabric.trace_events;
-      res.metrics_json = res.fabric.metrics_json;
-      res.spans_json = res.fabric.spans_json;
-      res.audit_json = res.fabric.audit_json;
-      res.series_json = res.fabric.series_json;
-      res.health_json = res.fabric.health_json;
-      res.flight_json = res.fabric.flight_json;
+      const FabricRunResult& f = res.fabric;
+      res.telemetry = f.telemetry;
+      res.trace_hash = f.trace_hash;
+      res.trace_events = f.trace_events;
+      res.hashes = {fnv1a(f.metrics_json), fnv1a(f.spans_json),
+                    fnv1a(f.audit_json),   fnv1a(f.series_json),
+                    fnv1a(f.health_json),  fnv1a(f.flight_json)};
       break;
+    }
   }
   if (res.telemetry) {
     res.metrics = &res.telemetry->metrics;
@@ -79,6 +72,15 @@ CellResult run_cell(const CampaignCell& cell) {
   }
   res.wall_seconds = seconds_since(t0);
   return res;
+}
+
+/// `part` rendered, with the render's FNV-1a taken in the same pass.
+template <typename Part>
+std::string render_hashed(const Part& part, std::uint64_t* hash) {
+  obs::JsonWriter w(obs::JsonWriter::kStringAndHash);
+  part.write_json(w);
+  *hash = w.hash();
+  return w.take();
 }
 
 std::string cell_verdict(const CellResult& r) {
@@ -183,12 +185,13 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     chain = fnv1a(hex64(r.trace_hash), chain);
   }
   out.merged_trace_hash = chain;
-  out.merged_metrics_json = merged->metrics.to_json();
-  out.merged_spans_json = merged->spans.to_json();
-  out.merged_audit_json = merged->audit.to_json();
-  out.merged_series_json = merged->series.to_json();
-  out.merged_health_json = merged->health.to_json();
-  out.merged_flight_json = merged->flight.to_json();
+  obs::TelemetryHashes& h = out.merged_hashes;
+  out.merged_metrics_json = render_hashed(merged->metrics, &h.metrics);
+  out.merged_spans_json = render_hashed(merged->spans, &h.spans);
+  out.merged_audit_json = render_hashed(merged->audit, &h.audit);
+  out.merged_series_json = render_hashed(merged->series, &h.series);
+  out.merged_health_json = render_hashed(merged->health, &h.health);
+  out.merged_flight_json = render_hashed(merged->flight, &h.flight);
   out.telemetry = std::move(merged);
   out.wall_seconds = seconds_since(t0);
   return out;
@@ -196,103 +199,100 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
 
 std::string CampaignResult::summary_json() const {
   // Keys sorted at every level, like every other JSON export.
-  std::ostringstream os;
-  os << "{\"cells\":[";
+  obs::JsonWriter w;
+  w.raw("{\"cells\":[");
   bool first = true;
   for (const auto& r : cells) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << "{\"audit_hash\":\"" << hex64(fnv1a(r.audit_json))
-       << "\",\"flight_hash\":\"" << hex64(fnv1a(r.flight_json))
-       << "\",\"health_events\":"
-       << (r.telemetry ? r.telemetry->health.events().size() : 0)
-       << ",\"health_hash\":\"" << hex64(fnv1a(r.health_json))
-       << "\",\"kind\":\"" << to_string(r.kind) << "\",\"metrics_hash\":\""
-       << hex64(fnv1a(r.metrics_json)) << "\",\"name\":\""
-       << obs::json_escape(r.name) << "\",\"series_hash\":\""
-       << hex64(fnv1a(r.series_json)) << "\",\"spans_hash\":\""
-       << hex64(fnv1a(r.spans_json)) << "\",\"trace_events\":"
-       << r.trace_events << ",\"trace_hash\":\"" << hex64(r.trace_hash)
-       << "\",\"verdict\":\"" << obs::json_escape(cell_verdict(r))
-       << "\"}";
+    w.raw("{\"audit_hash\":\"").hex(r.hashes.audit)
+        .raw("\",\"flight_hash\":\"").hex(r.hashes.flight)
+        .raw("\",\"health_events\":")
+        .num(r.telemetry ? r.telemetry->health.events().size() : 0)
+        .raw(",\"health_hash\":\"").hex(r.hashes.health)
+        .raw("\",\"kind\":\"").raw(to_string(r.kind))
+        .raw("\",\"metrics_hash\":\"").hex(r.hashes.metrics)
+        .raw("\",\"name\":").str(r.name)
+        .raw(",\"series_hash\":\"").hex(r.hashes.series)
+        .raw("\",\"spans_hash\":\"").hex(r.hashes.spans)
+        .raw("\",\"trace_events\":").num(r.trace_events)
+        .raw(",\"trace_hash\":\"").hex(r.trace_hash)
+        .raw("\",\"verdict\":").str(cell_verdict(r)).put('}');
   }
-  os << "],\"merged_audit_hash\":\"" << hex64(fnv1a(merged_audit_json))
-     << "\",\"merged_flight_hash\":\"" << hex64(fnv1a(merged_flight_json))
-     << "\",\"merged_health_hash\":\"" << hex64(fnv1a(merged_health_json))
-     << "\",\"merged_metrics\":" << merged_metrics_json
-     << ",\"merged_series_hash\":\"" << hex64(fnv1a(merged_series_json))
-     << "\",\"merged_spans_hash\":\"" << hex64(fnv1a(merged_spans_json))
-     << "\",\"merged_trace_hash\":\"" << hex64(merged_trace_hash)
-     << "\",\"schema_version\":" << obs::kSchemaVersion << "}";
-  return os.str();
+  const obs::TelemetryHashes& h = merged_hashes;
+  w.raw("],\"merged_audit_hash\":\"").hex(h.audit)
+      .raw("\",\"merged_flight_hash\":\"").hex(h.flight)
+      .raw("\",\"merged_health_hash\":\"").hex(h.health)
+      .raw("\",\"merged_metrics\":").raw(merged_metrics_json)
+      .raw(",\"merged_series_hash\":\"").hex(h.series)
+      .raw("\",\"merged_spans_hash\":\"").hex(h.spans)
+      .raw("\",\"merged_trace_hash\":\"").hex(merged_trace_hash)
+      .raw("\",\"schema_version\":").num(obs::kSchemaVersion).put('}');
+  return w.take();
 }
 
 std::string CampaignResult::profile_json() const {
-  std::ostringstream os;
-  os << "{\"cells\":[";
+  obs::JsonWriter w;
+  w.raw("{\"cells\":[");
   for (std::size_t i = 0; i < cell_profiles.size(); ++i) {
     const campaign::TaskProfile& tp = cell_profiles[i];
-    if (i > 0) os << ',';
-    os << "{\"end_s\":" << obs::json_double(tp.end_seconds)
-       << ",\"index\":" << i << ",\"name\":\""
-       << obs::json_escape(i < cells.size() ? cells[i].name : "")
-       << "\",\"start_s\":" << obs::json_double(tp.start_seconds)
-       << ",\"stolen\":" << (tp.stolen ? "true" : "false")
-       << ",\"worker\":" << tp.worker << "}";
+    if (i > 0) w.put(',');
+    w.raw("{\"end_s\":").num(tp.end_seconds).raw(",\"index\":").num(i)
+        .raw(",\"name\":").str(i < cells.size() ? cells[i].name : "")
+        .raw(",\"start_s\":").num(tp.start_seconds)
+        .raw(",\"stolen\":").boolean(tp.stolen)
+        .raw(",\"worker\":").num(tp.worker).put('}');
   }
-  os << "],\"jobs\":" << jobs << ",\"schema_version\":"
-     << obs::kSchemaVersion << ",\"steals\":" << steals
-     << ",\"wall_seconds\":" << obs::json_double(wall_seconds)
-     << ",\"workers\":[";
-  for (std::size_t w = 0; w < worker_profiles.size(); ++w) {
-    const campaign::WorkerProfile& wp = worker_profiles[w];
-    if (w > 0) os << ',';
-    os << "{\"busy_seconds\":" << obs::json_double(wp.busy_seconds)
-       << ",\"executed\":" << wp.executed << ",\"queue_depth\":[";
+  w.raw("],\"jobs\":").num(jobs).raw(",\"schema_version\":")
+      .num(obs::kSchemaVersion).raw(",\"steals\":").num(steals)
+      .raw(",\"wall_seconds\":").num(wall_seconds).raw(",\"workers\":[");
+  for (std::size_t i = 0; i < worker_profiles.size(); ++i) {
+    const campaign::WorkerProfile& wp = worker_profiles[i];
+    if (i > 0) w.put(',');
+    w.raw("{\"busy_seconds\":").num(wp.busy_seconds)
+        .raw(",\"executed\":").num(wp.executed).raw(",\"queue_depth\":[");
     for (std::size_t s = 0; s < wp.queue_depth.size(); ++s) {
-      if (s > 0) os << ',';
-      os << '[' << obs::json_double(wp.queue_depth[s].first) << ','
-         << wp.queue_depth[s].second << ']';
+      if (s > 0) w.put(',');
+      w.put('[').num(wp.queue_depth[s].first).put(',')
+          .num(wp.queue_depth[s].second).put(']');
     }
-    os << "],\"stolen\":" << wp.stolen << ",\"worker\":" << wp.worker
-       << "}";
+    w.raw("],\"stolen\":").num(wp.stolen).raw(",\"worker\":")
+        .num(wp.worker).put('}');
   }
-  os << "]}";
-  return os.str();
+  w.raw("]}");
+  return w.take();
 }
 
 std::string CampaignResult::profile_trace_json() const {
   // One Perfetto lane per pool worker, one slice per cell: the
   // campaign's host-time schedule, viewable next to the sim traces.
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  obs::JsonWriter w;
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
   for (const campaign::WorkerProfile& wp : worker_profiles) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << wp.worker
-       << ",\"tid\":0,\"args\":{\"name\":\"pool-worker"
-       << wp.worker << "\"}}";
+    w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":")
+        .num(wp.worker)
+        .raw(",\"tid\":0,\"args\":{\"name\":\"pool-worker")
+        .num(wp.worker).raw("\"}}");
   }
   for (std::size_t i = 0; i < cell_profiles.size(); ++i) {
     const campaign::TaskProfile& tp = cell_profiles[i];
     if (tp.worker < 0) continue;
     const double us = 1e6;
-    if (!first) os << ',';
+    const double dur = (tp.end_seconds - tp.start_seconds) * us;
+    if (!first) w.put(',');
     first = false;
-    os << "{\"name\":\""
-       << obs::json_escape(i < cells.size() ? cells[i].name : "")
-       << "\",\"cat\":\"cell\",\"ph\":\"X\",\"ts\":"
-       << obs::json_double(tp.start_seconds * us) << ",\"dur\":"
-       << obs::json_double(
-              (tp.end_seconds - tp.start_seconds) * us < 1.0
-                  ? 1.0
-                  : (tp.end_seconds - tp.start_seconds) * us)
-       << ",\"pid\":" << tp.worker << ",\"tid\":0,\"args\":{\"index\":"
-       << i << ",\"stolen\":" << (tp.stolen ? "true" : "false") << "}}";
+    w.raw("{\"name\":").str(i < cells.size() ? cells[i].name : "")
+        .raw(",\"cat\":\"cell\",\"ph\":\"X\",\"ts\":")
+        .num(tp.start_seconds * us).raw(",\"dur\":").num(dur < 1.0 ? 1.0 : dur)
+        .raw(",\"pid\":").num(tp.worker)
+        .raw(",\"tid\":0,\"args\":{\"index\":").num(i)
+        .raw(",\"stolen\":").boolean(tp.stolen).raw("}}");
   }
-  os << "]}";
-  return os.str();
+  w.raw("]}");
+  return w.take();
 }
 
 std::vector<CampaignCell> attack_matrix_cells(const RunOptions& base) {

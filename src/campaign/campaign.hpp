@@ -69,13 +69,10 @@ struct CellResult {
   /// the cell's registry or span store directly.
   const obs::MetricsRegistry* metrics = nullptr;
   const obs::SpanStore* spans = nullptr;
-  /// The snapshot's parts rendered; summary_json hashes them.
-  std::string metrics_json;
-  std::string spans_json;
-  std::string audit_json;
-  std::string series_json;
-  std::string health_json;
-  std::string flight_json;
+  /// FNV-1a of each snapshot part's JSON, computed on the pool worker
+  /// that ran the cell (a fabric cell hashes run_fabric's renders), so
+  /// the per-cell JSON is never held. summary_json prints them.
+  obs::TelemetryHashes hashes;
   /// FNV-1a over every trace event rendered as text (names, not interned
   /// ids, so the hash is independent of cross-cell interning order).
   std::uint64_t trace_hash = 0;
@@ -94,13 +91,15 @@ struct CampaignResult {
   std::shared_ptr<const obs::Telemetry> telemetry;
   /// FNV-1a chain over the per-cell trace hashes, in cell order.
   std::uint64_t merged_trace_hash = 0;
-  /// The fold's parts rendered.
+  /// The fold's parts rendered, and each render's FNV-1a taken in the
+  /// same pass.
   std::string merged_metrics_json;
   std::string merged_spans_json;
   std::string merged_audit_json;
   std::string merged_series_json;
   std::string merged_health_json;
   std::string merged_flight_json;
+  obs::TelemetryHashes merged_hashes;
 
   /// Pool profile of this campaign's run() (host wall time): per-worker
   /// steal counts, busy time and queue-depth samples, plus per-cell
@@ -110,7 +109,9 @@ struct CampaignResult {
   std::vector<campaign::TaskProfile> cell_profiles;
 
   /// Deterministic machine-readable summary: per-cell verdicts and
-  /// hashes plus the merged artifacts. Contains no timing and no
+  /// hashes plus the merged metrics and hashes, all formatted from what
+  /// run_campaign stored (nothing is rendered or hashed here). Contains
+  /// no timing and no
   /// jobs-dependent fields — `--jobs 1` and `--jobs N` must produce
   /// byte-identical summaries (the CI determinism gate diffs them).
   std::string summary_json() const;

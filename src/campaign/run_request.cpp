@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <sstream>
 
 #include "campaign/campaign.hpp"
 #include "core/hash.hpp"
@@ -50,9 +49,7 @@ std::string part_json(const sim::Machine& m) {
 }
 
 std::string chrome_trace(const sim::Machine& m) {
-  std::ostringstream os;
-  obs::write_chrome_trace(os, m.trace());
-  return os.str();
+  return obs::to_chrome_trace_json(m.trace());
 }
 
 std::string control_critical_path(const sim::Machine& m) {
@@ -120,116 +117,114 @@ RunOptions run_options_from(const ExperimentRequest& req, unsigned mask,
   return opts;
 }
 
-std::string bool_json(bool b) { return b ? "true" : "false"; }
-
 /// Deterministic one-line JSON for a fabric run (what the CI determinism
 /// gate diffs across --jobs / reruns). Keys emitted in sorted order, like
 /// every other JSON export in the repo.
 std::string fabric_summary_json(const FabricRunResult& r) {
-  std::string s = "{\"attack\":\"" + std::string(to_string(r.attack)) +
-                  "\",\"audit_hash\":\"" + hex64(fnv1a(r.audit_json)) +
-                  "\",\"cov\":" + std::to_string(r.cov_count) +
-                  ",\"delivered\":" + std::to_string(r.delivered) +
-                  ",\"drop_loss\":" + std::to_string(r.drop_loss) +
-                  ",\"drop_overflow\":" + std::to_string(r.drop_overflow) +
-                  ",\"drop_partition\":" + std::to_string(r.drop_partition) +
-                  ",\"flight_hash\":\"" + hex64(fnv1a(r.flight_json)) +
-                  "\",\"health_events\":" + std::to_string(r.health_events) +
-                  ",\"health_hash\":\"" + hex64(fnv1a(r.health_json)) +
-                  "\",\"metrics_hash\":\"" + hex64(fnv1a(r.metrics_json)) +
-                  "\",\"nodes\":" + std::to_string(r.nodes) +
-                  ",\"schema_version\":" +
-                  std::to_string(obs::kSchemaVersion) + ",\"series_hash\":\"" +
-                  hex64(fnv1a(r.series_json)) + "\",\"spans_hash\":\"" +
-                  hex64(fnv1a(r.spans_json)) + "\",\"topology\":\"" +
-                  r.topology + "\",\"trace_hash\":\"" + hex64(r.trace_hash) +
-                  "\",\"zones\":" + std::to_string(r.zones) + "}";
-  return s;
+  obs::JsonWriter w;
+  w.raw("{\"attack\":\"").raw(to_string(r.attack))
+      .raw("\",\"audit_hash\":\"").hex(fnv1a(r.audit_json))
+      .raw("\",\"cov\":").num(r.cov_count)
+      .raw(",\"delivered\":").num(r.delivered)
+      .raw(",\"drop_loss\":").num(r.drop_loss)
+      .raw(",\"drop_overflow\":").num(r.drop_overflow)
+      .raw(",\"drop_partition\":").num(r.drop_partition)
+      .raw(",\"flight_hash\":\"").hex(fnv1a(r.flight_json))
+      .raw("\",\"health_events\":").num(r.health_events)
+      .raw(",\"health_hash\":\"").hex(fnv1a(r.health_json))
+      .raw("\",\"metrics_hash\":\"").hex(fnv1a(r.metrics_json))
+      .raw("\",\"nodes\":").num(r.nodes)
+      .raw(",\"schema_version\":").num(obs::kSchemaVersion)
+      .raw(",\"series_hash\":\"").hex(fnv1a(r.series_json))
+      .raw("\",\"spans_hash\":\"").hex(fnv1a(r.spans_json))
+      .raw("\",\"topology\":\"").raw(r.topology)
+      .raw("\",\"trace_hash\":\"").hex(r.trace_hash)
+      .raw("\",\"zones\":").num(r.zones).put('}');
+  return w.take();
 }
 
 std::string benign_summary_json(const ExperimentRequest& req,
                                 const BenignRun& run) {
-  std::string s = "{\"alarm_violation\":" +
-                  bool_json(run.safety.alarm_violation) +
-                  ",\"context_switches\":" +
-                  std::to_string(run.context_switches) +
-                  ",\"control_alive\":" + bool_json(run.safety.control_alive) +
-                  ",\"final_temp_c\":" +
-                  obs::json_double(run.history.back().true_temp_c) +
-                  ",\"kernel_entries\":" + std::to_string(run.kernel_entries) +
-                  ",\"mode\":\"benign\",\"platform\":\"" +
-                  std::string(platform_name(req.platform)) +
-                  "\",\"samples\":" + std::to_string(run.history.size()) +
-                  ",\"scenario\":\"" + obs::json_escape(req.scenario) +
-                  "\",\"schema_version\":" +
-                  std::to_string(obs::kSchemaVersion) +
-                  ",\"seed\":" + std::to_string(req.seed) + "}";
-  return s;
+  obs::JsonWriter w;
+  w.raw("{\"alarm_violation\":").boolean(run.safety.alarm_violation)
+      .raw(",\"context_switches\":").num(run.context_switches)
+      .raw(",\"control_alive\":").boolean(run.safety.control_alive)
+      .raw(",\"final_temp_c\":").num(run.history.back().true_temp_c)
+      .raw(",\"kernel_entries\":").num(run.kernel_entries)
+      .raw(",\"mode\":\"benign\",\"platform\":\"")
+      .raw(platform_name(req.platform))
+      .raw("\",\"samples\":").num(run.history.size())
+      .raw(",\"scenario\":").str(req.scenario)
+      .raw(",\"schema_version\":").num(obs::kSchemaVersion)
+      .raw(",\"seed\":").num(req.seed).put('}');
+  return w.take();
 }
 
-std::string attack_row_json(const AttackRow& row) {
-  return std::string("{\"attack\":\"") + to_string(row.kind) +
-         "\",\"detail\":\"" + obs::json_escape(row.outcome.detail) +
-         "\",\"physically_compromised\":" +
-         bool_json(row.safety.physically_compromised()) +
-         ",\"platform_label\":\"" + obs::json_escape(row.platform_label) +
-         "\",\"primitive_succeeded\":" +
-         bool_json(row.outcome.primitive_succeeded) + ",\"privilege\":\"" +
-         to_string(row.privilege) + "\"}";
+void write_attack_row(obs::JsonWriter& w, const AttackRow& row) {
+  w.raw("{\"attack\":\"").raw(to_string(row.kind))
+      .raw("\",\"detail\":").str(row.outcome.detail)
+      .raw(",\"physically_compromised\":")
+      .boolean(row.safety.physically_compromised())
+      .raw(",\"platform_label\":").str(row.platform_label)
+      .raw(",\"primitive_succeeded\":")
+      .boolean(row.outcome.primitive_succeeded)
+      .raw(",\"privilege\":\"").raw(to_string(row.privilege)).raw("\"}");
 }
 
 std::string attack_summary_json(const ExperimentRequest& req,
                                 const AttackRow& row) {
-  std::string s = "{\"attack\":\"" + std::string(to_string(row.kind)) +
-                  "\",\"detail\":\"" + obs::json_escape(row.outcome.detail) +
-                  "\",\"mode\":\"attack\",\"physically_compromised\":" +
-                  bool_json(row.safety.physically_compromised()) +
-                  ",\"platform\":\"" +
-                  std::string(platform_name(req.platform)) +
-                  "\",\"platform_label\":\"" +
-                  obs::json_escape(row.platform_label) +
-                  "\",\"primitive_succeeded\":" +
-                  bool_json(row.outcome.primitive_succeeded) +
-                  ",\"privilege\":\"" + to_string(row.privilege) +
-                  "\",\"scenario\":\"" + obs::json_escape(req.scenario) +
-                  "\",\"schema_version\":" +
-                  std::to_string(obs::kSchemaVersion) +
-                  ",\"seed\":" + std::to_string(req.seed) + "}";
-  return s;
+  obs::JsonWriter w;
+  w.raw("{\"attack\":\"").raw(to_string(row.kind))
+      .raw("\",\"detail\":").str(row.outcome.detail)
+      .raw(",\"mode\":\"attack\",\"physically_compromised\":")
+      .boolean(row.safety.physically_compromised())
+      .raw(",\"platform\":\"").raw(platform_name(req.platform))
+      .raw("\",\"platform_label\":").str(row.platform_label)
+      .raw(",\"primitive_succeeded\":")
+      .boolean(row.outcome.primitive_succeeded)
+      .raw(",\"privilege\":\"").raw(to_string(row.privilege))
+      .raw("\",\"scenario\":").str(req.scenario)
+      .raw(",\"schema_version\":").num(obs::kSchemaVersion)
+      .raw(",\"seed\":").num(req.seed).put('}');
+  return w.take();
 }
 
 std::string matrix_summary_json(const std::vector<AttackRow>& rows) {
-  std::string s = "{\"mode\":\"matrix\",\"rows\":[";
+  obs::JsonWriter w;
+  w.raw("{\"mode\":\"matrix\",\"rows\":[");
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i != 0) s += ",";
-    s += attack_row_json(rows[i]);
+    if (i != 0) w.put(',');
+    write_attack_row(w, rows[i]);
   }
-  s += "],\"schema_version\":" + std::to_string(obs::kSchemaVersion) + "}";
-  return s;
+  w.raw("],\"schema_version\":").num(obs::kSchemaVersion).put('}');
+  return w.take();
 }
 
 std::string fault_summary_json(const ExperimentRequest& req,
                                const FaultRunResult& res) {
-  std::string s =
-      "{\"excursion_c\":" +
-      obs::json_double(res.max_excursion_after_fault_c) +
-      ",\"fault_time_s\":" + obs::json_double(sim::to_seconds(res.fault_time)) +
-      ",\"faults_injected\":" + std::to_string(res.faults_injected) +
-      ",\"loop_recovered\":" + bool_json(res.loop_recovered) +
-      ",\"max_ctl_gap_s\":" + obs::json_double(sim::to_seconds(res.max_ctl_gap)) +
-      ",\"mode\":\"fault\",\"mttr_s\":" +
-      (res.mttr >= 0 ? obs::json_double(sim::to_seconds(res.mttr))
-                     : std::string("-1")) +
-      ",\"platform\":\"" + std::string(platform_name(req.platform)) +
-      "\",\"platform_label\":\"" + obs::json_escape(res.platform_label) +
-      "\",\"probe_attempted\":" + bool_json(res.web_spoof.attempted) +
-      ",\"probe_attempts\":" + std::to_string(res.web_spoof.attempts) +
-      ",\"probe_succeeded\":" + bool_json(res.web_spoof.primitive_succeeded) +
-      ",\"restarts\":" + std::to_string(res.restarts) + ",\"scenario\":\"" +
-      obs::json_escape(req.scenario) +
-      "\",\"schema_version\":" + std::to_string(obs::kSchemaVersion) +
-      ",\"seed\":" + std::to_string(req.seed) + "}";
-  return s;
+  obs::JsonWriter w;
+  w.raw("{\"excursion_c\":").num(res.max_excursion_after_fault_c)
+      .raw(",\"fault_time_s\":").num(sim::to_seconds(res.fault_time))
+      .raw(",\"faults_injected\":").num(res.faults_injected)
+      .raw(",\"loop_recovered\":").boolean(res.loop_recovered)
+      .raw(",\"max_ctl_gap_s\":").num(sim::to_seconds(res.max_ctl_gap))
+      .raw(",\"mode\":\"fault\",\"mttr_s\":");
+  if (res.mttr >= 0) {
+    w.num(sim::to_seconds(res.mttr));
+  } else {
+    w.raw("-1");
+  }
+  w.raw(",\"platform\":\"").raw(platform_name(req.platform))
+      .raw("\",\"platform_label\":").str(res.platform_label)
+      .raw(",\"probe_attempted\":").boolean(res.web_spoof.attempted)
+      .raw(",\"probe_attempts\":").num(res.web_spoof.attempts)
+      .raw(",\"probe_succeeded\":")
+      .boolean(res.web_spoof.primitive_succeeded)
+      .raw(",\"restarts\":").num(res.restarts)
+      .raw(",\"scenario\":").str(req.scenario)
+      .raw(",\"schema_version\":").num(obs::kSchemaVersion)
+      .raw(",\"seed\":").num(req.seed).put('}');
+  return w.take();
 }
 
 ExperimentResponse run_benign_request(const ExperimentRequest& req,

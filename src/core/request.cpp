@@ -5,7 +5,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "core/cli.hpp"
 #include "core/hash.hpp"
 #include "core/jsonv.hpp"
 #include "obs/json.hpp"

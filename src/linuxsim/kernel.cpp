@@ -426,11 +426,6 @@ Errno LinuxKernel::mq_receive(int fd, MqMessage& out, bool blocking) {
   return Errno::kOk;
 }
 
-std::size_t LinuxKernel::mq_depth(const std::string& name) const {
-  const auto it = namespace_.find(name);
-  return it == namespace_.end() ? 0 : it->second->queue.size();
-}
-
 // ---- Unix domain sockets ----
 
 void LinuxKernel::wake_conn(Connection& conn) {
@@ -765,14 +760,6 @@ Errno LinuxKernel::read_file(int fd, std::string& out) {
   if (!desc->readable) return Errno::kEACCES;
   out = desc->node->contents;
   return Errno::kOk;
-}
-
-const std::string* LinuxKernel::file_contents(const std::string& name) const {
-  const auto it = namespace_.find(name);
-  if (it == namespace_.end() || it->second->type != Node::Type::kFile) {
-    return nullptr;
-  }
-  return &it->second->contents;
 }
 
 }  // namespace mkbas::linuxsim

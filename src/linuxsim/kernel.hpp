@@ -149,8 +149,6 @@ class LinuxKernel {
   /// Blocking when empty. Highest priority first, FIFO within priority.
   Errno mq_receive(int fd, MqMessage& out, bool blocking = true);
 
-  std::size_t mq_depth(const std::string& name) const;  // introspection
-
   // ---- Unix domain sockets (§III: "the IPC options are either Unix
   //      domain sockets or message queues") ----
   //
@@ -185,7 +183,6 @@ class LinuxKernel {
   int open_file(const std::string& name, bool create, Mode mode = {});
   Errno write_file(int fd, const std::string& data);
   Errno read_file(int fd, std::string& out);
-  const std::string* file_contents(const std::string& name) const;
 
   sim::Machine& machine() { return machine_; }
 

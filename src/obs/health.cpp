@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -177,14 +176,6 @@ void HealthMonitor::emit(const HealthSignal::Cell& c, sim::Time t,
   if (on_event_) on_event_(e);
 }
 
-std::size_t HealthMonitor::events_for(int machine) const {
-  std::size_t n = 0;
-  for (const HealthEvent& e : events_) {
-    if (e.machine == machine) ++n;
-  }
-  return n;
-}
-
 namespace {
 
 double penalty_of(HealthEventKind k) {
@@ -228,61 +219,63 @@ void HealthMonitor::merge_from(const HealthMonitor& other) {
 
 namespace {
 
-void append_events(std::ostream& os, const std::vector<HealthEvent>& events,
+void append_events(JsonWriter& w, const std::vector<HealthEvent>& events,
                    std::size_t begin) {
-  auto& tags = sim::TagRegistry::instance();
-  os << '[';
+  w.put('[');
   for (std::size_t i = begin; i < events.size(); ++i) {
     const HealthEvent& e = events[i];
-    if (i > begin) os << ',';
-    os << "{\"baseline\":" << json_double(e.baseline) << ",\"kind\":\""
-       << to_string(e.kind) << "\",\"machine\":" << e.machine
-       << ",\"signal\":\"" << json_escape(tags.name(e.signal))
-       << "\",\"threshold\":" << json_double(e.threshold)
-       << ",\"time\":" << e.time << ",\"value\":" << json_double(e.value)
-       << '}';
+    if (i > begin) w.put(',');
+    w.raw("{\"baseline\":").num(e.baseline).raw(",\"kind\":\"")
+        .raw(to_string(e.kind)).raw("\",\"machine\":").num(e.machine)
+        .raw(",\"signal\":").tag(e.signal).raw(",\"threshold\":")
+        .num(e.threshold).raw(",\"time\":").num(e.time)
+        .raw(",\"value\":").num(e.value).put('}');
   }
-  os << ']';
+  w.put(']');
 }
 
-void append_scores(std::ostream& os, const HealthMonitor& mon,
+void append_scores(JsonWriter& w, const HealthMonitor& mon,
                    const std::set<int>& machines) {
   std::map<std::string, double> scores;
   for (int m : machines) {
     scores.emplace("m" + std::to_string(m), mon.score(m));
   }
-  os << '{';
+  w.put('{');
   bool first = true;
   for (const auto& [name, s] : scores) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << '"' << name << "\":" << json_double(s);
+    w.put('"').raw(name).raw("\":").num(s);
   }
-  os << '}';
+  w.put('}');
 }
 
 }  // namespace
 
 std::string HealthMonitor::to_json() const {
-  std::ostringstream os;
-  os << "{\"events\":";
-  append_events(os, events_, 0);
-  os << ",\"schema_version\":" << kSchemaVersion << ",\"scores\":";
-  append_scores(os, *this, machines_);
-  os << ",\"suppressed\":" << suppressed_ << '}';
-  return os.str();
+  JsonWriter w;
+  write_json(w);
+  return w.take();
+}
+
+void HealthMonitor::write_json(JsonWriter& w) const {
+  w.raw("{\"events\":");
+  append_events(w, events_, 0);
+  w.raw(",\"schema_version\":").num(kSchemaVersion).raw(",\"scores\":");
+  append_scores(w, *this, machines_);
+  w.raw(",\"suppressed\":").num(suppressed_).put('}');
 }
 
 std::string HealthMonitor::recent_json(std::size_t max_events) const {
-  std::ostringstream os;
+  JsonWriter w;
   const std::size_t begin =
       events_.size() > max_events ? events_.size() - max_events : 0;
-  os << "{\"events\":";
-  append_events(os, events_, begin);
-  os << ",\"scores\":";
-  append_scores(os, *this, machines_);
-  os << '}';
-  return os.str();
+  w.raw("{\"events\":");
+  append_events(w, events_, begin);
+  w.raw(",\"scores\":");
+  append_scores(w, *this, machines_);
+  w.put('}');
+  return w.take();
 }
 
 // ---- FlightRecorder ----
@@ -309,29 +302,28 @@ void FlightRecorder::trigger(sim::Time t, const std::string& reason,
     return;
   }
 
-  auto& tags = sim::TagRegistry::instance();
-  std::ostringstream os;
-  os << "{\"detail\":\"" << json_escape(detail) << "\",\"health\":"
-     << (health_ != nullptr ? health_->recent_json(kRecentEvents) : "{}")
-     << ",\"machine\":" << (spans_ != nullptr ? spans_->machine() : 0)
-     << ",\"reason\":\"" << json_escape(reason) << "\",\"series\":"
-     << (series_ != nullptr ? series_->recent_json(kRecentWindows) : "{}")
-     << ",\"spans\":[";
+  JsonWriter w;
+  w.raw("{\"detail\":").str(detail).raw(",\"health\":")
+      .raw(health_ != nullptr ? health_->recent_json(kRecentEvents) : "{}")
+      .raw(",\"machine\":").num(spans_ != nullptr ? spans_->machine() : 0)
+      .raw(",\"reason\":").str(reason).raw(",\"series\":")
+      .raw(series_ != nullptr ? series_->recent_json(kRecentWindows) : "{}")
+      .raw(",\"spans\":[");
   if (spans_ != nullptr) {
     const SpanLog& log = spans_->spans();
     const std::size_t begin =
         log.size() > kRecentSpans ? log.size() - kRecentSpans : 0;
     for (std::size_t i = begin; i < log.size(); ++i) {
       const Span& s = log[i];
-      if (i > begin) os << ',';
-      os << "{\"end\":" << s.end << ",\"machine\":" << s.machine
-         << ",\"name\":\"" << json_escape(tags.name(s.name))
-         << "\",\"pid\":" << s.pid << ",\"span\":\""
-         << json_hex64(s.span_id) << "\",\"start\":" << s.start << '}';
+      if (i > begin) w.put(',');
+      w.raw("{\"end\":").num(s.end).raw(",\"machine\":").num(s.machine)
+          .raw(",\"name\":").tag(s.name).raw(",\"pid\":").num(s.pid)
+          .raw(",\"span\":\"").hex(s.span_id).raw("\",\"start\":")
+          .num(s.start).put('}');
     }
   }
-  os << "],\"time\":" << t << '}';
-  snapshots_.push_back(Snapshot{t, os.str()});
+  w.raw("],\"time\":").num(t).put('}');
+  snapshots_.push_back(Snapshot{t, w.take()});
 }
 
 void FlightRecorder::merge_from(const FlightRecorder& other) {
@@ -348,15 +340,19 @@ void FlightRecorder::merge_from(const FlightRecorder& other) {
 }
 
 std::string FlightRecorder::to_json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"snapshots\":[";
+  JsonWriter w;
+  write_json(w);
+  return w.take();
+}
+
+void FlightRecorder::write_json(JsonWriter& w) const {
+  w.raw("{\"schema_version\":").num(kSchemaVersion).raw(",\"snapshots\":[");
   for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-    if (i > 0) os << ',';
-    os << snapshots_[i].json;
+    if (i > 0) w.put(',');
+    w.raw(snapshots_[i].json);
   }
-  os << "],\"suppressed\":" << suppressed_ << ",\"triggers\":" << triggers_
-     << '}';
-  return os.str();
+  w.raw("],\"suppressed\":").num(suppressed_).raw(",\"triggers\":")
+      .num(triggers_).put('}');
 }
 
 }  // namespace mkbas::obs

@@ -154,8 +154,6 @@ class HealthMonitor {
 
   const std::vector<HealthEvent>& events() const { return events_; }
   std::uint64_t suppressed() const { return suppressed_; }
-  /// Events raised by `machine`, any signal.
-  std::size_t events_for(int machine) const;
 
   /// 0..100: 100 minus a per-event penalty (surge 25, CUSUM 15, EWMA 5),
   /// floored at 0. A machine with no events scores 100.
@@ -168,6 +166,8 @@ class HealthMonitor {
   ///  "scores":{"m<id>":..},"suppressed":N} — keys sorted at every
   /// level, events in emission (merge) order.
   std::string to_json() const;
+  /// The same bytes into `w`'s sink.
+  void write_json(JsonWriter& w) const;
   /// Bare {"events":[last `max_events`],"scores":{...}} block for the
   /// flight recorder.
   std::string recent_json(std::size_t max_events) const;
@@ -238,6 +238,8 @@ class FlightRecorder {
   /// at trigger time from virtual-time state only, so the export is
   /// replayable byte-for-byte.
   std::string to_json() const;
+  /// The same bytes into `w`'s sink.
+  void write_json(JsonWriter& w) const;
 
  private:
   struct Snapshot {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 namespace mkbas::obs {
@@ -151,86 +149,55 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
+std::string MetricsRegistry::to_json() const {
+  JsonWriter w;
+  write_json(w);
+  return w.take();
 }
 
-std::string MetricsRegistry::to_json() const {
+void MetricsRegistry::write_json(JsonWriter& w) const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::ostringstream os;
-  os << "{\"counters\":{";
+  w.raw("{\"counters\":{");
   bool first = true;
   for (const auto& [name, cell] : counters_) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << '"' << json_escape(name) << "\":" << *cell;
+    w.str(name).put(':').num(*cell);
   }
-  os << "},\"gauges\":{";
+  w.raw("},\"gauges\":{");
   first = true;
   for (const auto& [name, cell] : gauges_) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << '"' << json_escape(name) << "\":" << json_double(*cell);
+    w.str(name).put(':').num(*cell);
   }
-  os << "},\"histograms\":{";
+  w.raw("},\"histograms\":{");
   first = true;
   for (const auto& [name, cell] : histograms_) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
     // Keys sorted at every level, so cmp-based determinism tests and
     // CI diffs stay stable.
-    os << '"' << json_escape(name) << "\":{\"buckets\":[";
+    w.str(name).raw(":{\"buckets\":[");
     bool bfirst = true;
     const auto& bounds = *cell->bounds;
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       if (cell->counts[i] == 0) continue;  // elide empty buckets
-      if (!bfirst) os << ',';
+      if (!bfirst) w.put(',');
       bfirst = false;
-      os << "{\"count\":" << cell->counts[i]
-         << ",\"le\":" << json_double(bounds[i]) << '}';
+      w.raw("{\"count\":").num(cell->counts[i]).raw(",\"le\":").num(bounds[i])
+          .put('}');
     }
-    os << "],\"count\":" << cell->count;
+    w.raw("],\"count\":").num(cell->count);
     if (cell->count > 0) {
-      os << ",\"max\":" << json_double(cell->max)
-         << ",\"min\":" << json_double(cell->min);
+      w.raw(",\"max\":").num(cell->max).raw(",\"min\":").num(cell->min);
     } else {
-      os << ",\"max\":0,\"min\":0";
+      w.raw(",\"max\":0,\"min\":0");
     }
-    os << ",\"overflow\":" << cell->overflow
-       << ",\"sum\":" << json_double(cell->sum) << "}";
+    w.raw(",\"overflow\":").num(cell->overflow).raw(",\"sum\":").num(cell->sum)
+        .put('}');
   }
-  os << "},\"schema_version\":" << kSchemaVersion << "}";
-  return os.str();
+  w.raw("},\"schema_version\":").num(kSchemaVersion).put('}');
 }
 
 }  // namespace mkbas::obs

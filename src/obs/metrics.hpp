@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"  // json_escape/json_double, kSchemaVersion
+#include "obs/json.hpp"  // JsonWriter, kSchemaVersion
 
 namespace mkbas::obs {
 
@@ -143,6 +143,8 @@ class MetricsRegistry {
   ///  "min":..,"overflow":..,"sum":..}},"schema_version":N}
   /// Zero-count histogram buckets are elided.
   std::string to_json() const;
+  /// The same bytes into `w`'s sink.
+  void write_json(JsonWriter& w) const;
 
   /// Log-linear bound generation, exposed for tests.
   static std::vector<double> log_bounds(int sub_buckets, double max);

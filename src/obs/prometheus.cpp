@@ -15,16 +15,16 @@ std::string prometheus_name(const std::string& raw) {
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out += '_';
   if (out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
   return out;
 }
 
 namespace {
 
-void render_histogram(std::string* out, const PromHistogram& h) {
+void render_histogram(JsonWriter& w, const PromHistogram& h) {
   const std::string name = prometheus_name(h.name);
-  *out += "# TYPE " + name + " histogram\n";
+  w.raw("# TYPE ").raw(name).raw(" histogram\n");
   std::uint64_t prev = 0;
   const std::size_t n =
       h.bounds.size() < h.cumulative.size() ? h.bounds.size()
@@ -32,32 +32,30 @@ void render_histogram(std::string* out, const PromHistogram& h) {
   for (std::size_t i = 0; i < n; ++i) {
     if (h.cumulative[i] == prev) continue;  // elide empty buckets
     prev = h.cumulative[i];
-    *out += name + "_bucket{le=\"" + json_double(h.bounds[i]) + "\"} " +
-            std::to_string(h.cumulative[i]) + "\n";
+    w.raw(name).raw("_bucket{le=\"").num(h.bounds[i]).raw("\"} ")
+        .num(h.cumulative[i]).put('\n');
   }
-  *out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-  *out += name + "_sum " + json_double(h.sum) + "\n";
-  *out += name + "_count " + std::to_string(h.count) + "\n";
+  w.raw(name).raw("_bucket{le=\"+Inf\"} ").num(h.count).put('\n');
+  w.raw(name).raw("_sum ").num(h.sum).put('\n');
+  w.raw(name).raw("_count ").num(h.count).put('\n');
 }
 
 }  // namespace
 
 std::string prometheus_render(const PromSnapshot& snap) {
-  std::string out;
-  out.reserve(256 + snap.counters.size() * 48 + snap.gauges.size() * 48 +
-              snap.histograms.size() * 512);
+  JsonWriter w;
   for (const auto& [raw, v] : snap.counters) {
     const std::string name = prometheus_name(raw) + "_total";
-    out += "# TYPE " + name + " counter\n";
-    out += name + " " + std::to_string(v) + "\n";
+    w.raw("# TYPE ").raw(name).raw(" counter\n");
+    w.raw(name).put(' ').num(v).put('\n');
   }
   for (const auto& [raw, v] : snap.gauges) {
     const std::string name = prometheus_name(raw);
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + json_double(v) + "\n";
+    w.raw("# TYPE ").raw(name).raw(" gauge\n");
+    w.raw(name).put(' ').num(v).put('\n');
   }
-  for (const auto& h : snap.histograms) render_histogram(&out, h);
-  return out;
+  for (const auto& h : snap.histograms) render_histogram(w, h);
+  return w.take();
 }
 
 std::string prometheus_render(const MetricsRegistry& reg) {

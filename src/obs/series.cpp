@@ -1,8 +1,6 @@
 #include "obs/series.hpp"
 
 #include <cmath>
-#include <ostream>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -220,57 +218,60 @@ void SeriesStore::merge_from(const SeriesStore& other) {
   }
 }
 
-void SeriesStore::append_series_map(std::ostream& os,
+void SeriesStore::append_series_map(JsonWriter& w,
                                     std::size_t max_windows) const {
   // Re-key lexically so the JSON keeps "keys sorted at every level".
   std::map<std::string, const Series::Cell*> by_name;
   for (const auto& [key, cell] : cells_) {
     by_name.emplace(key.second + "@m" + std::to_string(key.first), cell);
   }
-  os << '{';
+  w.put('{');
   bool first = true;
   for (const auto& [name, cell] : by_name) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << '"' << json_escape(name)
-       << "\":{\"evicted_samples\":" << cell->evicted_samples
-       << ",\"evicted_windows\":" << cell->evicted_windows
-       << ",\"late_dropped\":" << cell->late_dropped
-       << ",\"samples\":" << cell->samples
-       << ",\"width_us\":" << cell->width << ",\"windows\":[";
+    w.str(name).raw(":{\"evicted_samples\":").num(cell->evicted_samples)
+        .raw(",\"evicted_windows\":").num(cell->evicted_windows)
+        .raw(",\"late_dropped\":").num(cell->late_dropped)
+        .raw(",\"samples\":").num(cell->samples)
+        .raw(",\"width_us\":").num(cell->width).raw(",\"windows\":[");
     std::size_t begin = 0;
     if (max_windows > 0 && cell->live > max_windows) {
       begin = cell->live - max_windows;
     }
     bool wfirst = true;
     for (std::size_t i = begin; i < cell->live; ++i) {
-      const SeriesWindow& w = cell->slot(i);
-      if (w.count == 0) continue;  // elide empty windows
-      if (!wfirst) os << ',';
+      const SeriesWindow& win = cell->slot(i);
+      if (win.count == 0) continue;  // elide empty windows
+      if (!wfirst) w.put(',');
       wfirst = false;
-      os << "{\"count\":" << w.count << ",\"max\":" << json_double(w.max)
-         << ",\"min\":" << json_double(w.min)
-         << ",\"p95\":" << json_double(w.quantile(0.95))
-         << ",\"start\":" << w.index * cell->width
-         << ",\"sum\":" << json_double(w.sum) << '}';
+      w.raw("{\"count\":").num(win.count).raw(",\"max\":").num(win.max)
+          .raw(",\"min\":").num(win.min)
+          .raw(",\"p95\":").num(win.quantile(0.95))
+          .raw(",\"start\":").num(win.index * cell->width)
+          .raw(",\"sum\":").num(win.sum).put('}');
     }
-    os << "]}";
+    w.raw("]}");
   }
-  os << '}';
+  w.put('}');
 }
 
 std::string SeriesStore::to_json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"series\":";
-  append_series_map(os, 0);
-  os << '}';
-  return os.str();
+  JsonWriter w;
+  write_json(w);
+  return w.take();
+}
+
+void SeriesStore::write_json(JsonWriter& w) const {
+  w.raw("{\"schema_version\":").num(kSchemaVersion).raw(",\"series\":");
+  append_series_map(w, 0);
+  w.put('}');
 }
 
 std::string SeriesStore::recent_json(std::size_t max_windows) const {
-  std::ostringstream os;
-  append_series_map(os, max_windows == 0 ? 1 : max_windows);
-  return os.str();
+  JsonWriter w;
+  append_series_map(w, max_windows == 0 ? 1 : max_windows);
+  return w.take();
 }
 
 }  // namespace mkbas::obs

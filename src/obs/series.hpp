@@ -3,13 +3,13 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <limits>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "sim/time.hpp"
 
 namespace mkbas::obs {
@@ -157,6 +157,8 @@ class SeriesStore {
   /// every level; empty windows in the ring are elided from the export
   /// but still occupy ring slots.
   std::string to_json() const;
+  /// The same bytes into `w`'s sink.
+  void write_json(JsonWriter& w) const;
 
   /// Bare {"<name>@m<machine>":{...}} object holding only the newest
   /// `max_windows` windows of every series — the flight recorder's
@@ -166,7 +168,7 @@ class SeriesStore {
  private:
   friend class Series;
 
-  void append_series_map(std::ostream& os, std::size_t max_windows) const;
+  void append_series_map(JsonWriter& w, std::size_t max_windows) const;
 
   bool enabled_ = true;
   int machine_ = 0;

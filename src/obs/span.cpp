@@ -1,11 +1,9 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
-#include <sstream>
 
-#include "obs/json.hpp"  // json_escape, json_hex64, kSchemaVersion
+#include "obs/json.hpp"
 
 namespace mkbas::obs {
 
@@ -269,28 +267,28 @@ void SpanStore::merge_from(const SpanStore& other) {
 }
 
 std::string SpanStore::to_json() const {
-  auto& tags = sim::TagRegistry::instance();
-  std::ostringstream os;
-  os << "{\"dropped\":" << dropped_
-     << ",\"schema_version\":" << kSchemaVersion << ",\"spans\":[";
+  JsonWriter w;
+  write_json(w);
+  return w.take();
+}
+
+void SpanStore::write_json(JsonWriter& w) const {
+  w.raw("{\"dropped\":").num(dropped_).raw(",\"schema_version\":")
+      .num(kSchemaVersion).raw(",\"spans\":[");
   bool first = true;
   for (const Span& s : done_) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << "{\"abandoned\":" << (s.abandoned ? "true" : "false")
-       << ",\"end\":" << s.end << ",\"machine\":" << s.machine
-       << ",\"name\":\"" << json_escape(tags.name(s.name)) << "\"";
-    if (s.note != 0) {
-      os << ",\"note\":\"" << json_escape(tags.name(s.note)) << "\"";
-    }
-    os << ",\"parent\":\"" << json_hex64(s.parent_span) << "\",\"pid\":"
-       << s.pid << ",\"span\":\"" << json_hex64(s.span_id) << "\",\"start\":"
-       << s.start << ",\"trace\":\"" << json_hex64(s.trace_id) << "\"}";
+    w.raw("{\"abandoned\":").boolean(s.abandoned).raw(",\"end\":").num(s.end)
+        .raw(",\"machine\":").num(s.machine).raw(",\"name\":").tag(s.name);
+    if (s.note != 0) w.raw(",\"note\":").tag(s.note);
+    w.raw(",\"parent\":\"").hex(s.parent_span).raw("\",\"pid\":").num(s.pid)
+        .raw(",\"span\":\"").hex(s.span_id).raw("\",\"start\":").num(s.start)
+        .raw(",\"trace\":\"").hex(s.trace_id).raw("\"}");
   }
-  os << "],\"total_abandoned\":" << total_abandoned_
-     << ",\"total_begun\":" << total_begun_
-     << ",\"total_ended\":" << total_ended_ << "}";
-  return os.str();
+  w.raw("],\"total_abandoned\":").num(total_abandoned_)
+      .raw(",\"total_begun\":").num(total_begun_)
+      .raw(",\"total_ended\":").num(total_ended_).put('}');
 }
 
 // ---- AuditJournal ----
@@ -343,26 +341,29 @@ void AuditJournal::merge_from(const AuditJournal& other) {
 }
 
 std::string AuditJournal::to_json() const {
-  auto& tags = sim::TagRegistry::instance();
-  std::ostringstream os;
-  os << "{\"entries\":[";
+  JsonWriter w;
+  write_json(w);
+  return w.take();
+}
+
+void AuditJournal::write_json(JsonWriter& w) const {
+  w.raw("{\"entries\":[");
   bool first = true;
   for (const AuditEntry& e : entries_) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
-    os << "{\"chain\":[";
+    w.raw("{\"chain\":[");
     for (std::size_t i = 0; i < e.chain.size(); ++i) {
-      if (i > 0) os << ',';
-      os << "{\"name\":\"" << json_escape(tags.name(e.chain_names[i]))
-         << "\",\"span\":\"" << json_hex64(e.chain[i]) << "\"}";
+      if (i > 0) w.put(',');
+      w.raw("{\"name\":").tag(e.chain_names[i]).raw(",\"span\":\"")
+          .hex(e.chain[i]).raw("\"}");
     }
-    os << "],\"detail\":\"" << json_escape(e.detail) << "\",\"kind\":\""
-       << json_escape(tags.name(e.kind)) << "\",\"machine\":" << e.machine
-       << ",\"pid\":" << e.pid << ",\"time\":" << e.time
-       << ",\"trace\":\"" << json_hex64(e.trace_id) << "\"}";
+    w.raw("],\"detail\":").str(e.detail).raw(",\"kind\":").tag(e.kind)
+        .raw(",\"machine\":").num(e.machine).raw(",\"pid\":").num(e.pid)
+        .raw(",\"time\":").num(e.time).raw(",\"trace\":\"").hex(e.trace_id)
+        .raw("\"}");
   }
-  os << "],\"schema_version\":" << kSchemaVersion << "}";
-  return os.str();
+  w.raw("],\"schema_version\":").num(kSchemaVersion).put('}');
 }
 
 // ---- critical path ----
@@ -432,33 +433,27 @@ std::string critical_path_json(const SpanStore& store,
     }
   }
 
-  auto fmt = [](double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.6f", v);
-    return std::string(buf);
-  };
-
-  std::ostringstream os;
-  os << "{\"leaf\":\"" << json_escape(leaf_name) << "\",\"paths\":[";
+  JsonWriter w;
+  w.raw("{\"leaf\":").str(leaf_name).raw(",\"paths\":[");
   bool first = true;
   for (const auto& [sig, agg] : paths) {
-    if (!first) os << ',';
+    if (!first) w.put(',');
     first = false;
     const double n = static_cast<double>(agg.traces);
-    os << "{\"e2e_mean_us\":" << fmt(agg.e2e_total_us / n)
-       << ",\"hops\":[";
+    w.raw("{\"e2e_mean_us\":").fixed(agg.e2e_total_us / n, 6)
+        .raw(",\"hops\":[");
     for (std::size_t i = 0; i < agg.names.size(); ++i) {
-      if (i > 0) os << ',';
-      os << "{\"mean_us\":" << fmt(agg.hop_total_us[i] / n)
-         << ",\"name\":\"" << json_escape(tags.name(agg.names[i]))
-         << "\",\"total_us\":" << fmt(agg.hop_total_us[i]) << "}";
+      if (i > 0) w.put(',');
+      w.raw("{\"mean_us\":").fixed(agg.hop_total_us[i] / n, 6)
+          .raw(",\"name\":").tag(agg.names[i]).raw(",\"total_us\":")
+          .fixed(agg.hop_total_us[i], 6).put('}');
     }
-    os << "],\"signature\":\"" << json_escape(sig)
-       << "\",\"traces\":" << agg.traces << "}";
+    w.raw("],\"signature\":").str(sig).raw(",\"traces\":").num(agg.traces)
+        .put('}');
   }
-  os << "],\"root\":\"" << json_escape(root_name)
-     << "\",\"schema_version\":" << kSchemaVersion << "}";
-  return os.str();
+  w.raw("],\"root\":").str(root_name).raw(",\"schema_version\":")
+      .num(kSchemaVersion).put('}');
+  return w.take();
 }
 
 }  // namespace mkbas::obs

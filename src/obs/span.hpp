@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
@@ -230,6 +231,8 @@ class SpanStore {
   /// {"dropped":..,"spans":[{"abandoned":..,"end":..,...}],...}.
   /// Ids render as fixed-width hex so diffs align.
   std::string to_json() const;
+  /// The same bytes into `w`'s sink.
+  void write_json(JsonWriter& w) const;
 
  private:
   struct Lineage {
@@ -411,6 +414,8 @@ class AuditJournal {
   /// {"entries":[{"chain":[{"name":..,"span":..},...],...}]} with keys
   /// sorted at every level.
   std::string to_json() const;
+  /// The same bytes into `w`'s sink.
+  void write_json(JsonWriter& w) const;
 
  private:
   bool enabled_ = true;

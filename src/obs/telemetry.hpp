@@ -7,6 +7,17 @@
 
 namespace mkbas::obs {
 
+/// FNV-1a of each part's JSON export. A part that was never exported
+/// keeps the hash of zero bytes.
+struct TelemetryHashes {
+  std::uint64_t metrics = Fnv1a::kOffset;
+  std::uint64_t spans = Fnv1a::kOffset;
+  std::uint64_t audit = Fnv1a::kOffset;
+  std::uint64_t series = Fnv1a::kOffset;
+  std::uint64_t health = Fnv1a::kOffset;
+  std::uint64_t flight = Fnv1a::kOffset;
+};
+
 /// The six mergeable observability parts of one machine, or of a fold of
 /// machines, as one value. sim::Machine owns one and wires it (health
 /// feeds series, audit and spans; denials and detector firings trip the
@@ -29,6 +40,9 @@ struct Telemetry {
   /// bundles in the same order always gives the same bytes, which is what
   /// lets campaigns and fabrics reduce in cell or node order.
   void merge_from(const Telemetry& other);
+  /// Every part's to_json() hashed, each streamed into an FNV-1a sink
+  /// without being materialised.
+  TelemetryHashes hashes() const;
   /// Fabric node index for the parts that carry one (span ids, series
   /// and health labels); set it before anything is recorded.
   void set_machine(int id);

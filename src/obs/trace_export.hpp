@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "obs/span.hpp"
@@ -23,7 +22,6 @@ namespace mkbas::obs {
 ///
 /// Virtual time is microseconds, which is exactly the `ts` unit the format
 /// expects — timestamps pass through untranslated.
-void write_chrome_trace(std::ostream& os, const sim::TraceLog& log);
 std::string to_chrome_trace_json(const sim::TraceLog& log);
 
 /// Serialize a span store as Chrome trace-event JSON with flow events.
@@ -38,7 +36,6 @@ std::string to_chrome_trace_json(const sim::TraceLog& log);
 ///    becomes a flow ("s" at the parent slice, "f" with bp:"e" at the
 ///    child), which Perfetto renders as the cross-machine arrows the
 ///    flow graph is about. The flow id is the child span id.
-void write_span_trace(std::ostream& os, const SpanStore& spans);
 std::string to_span_trace_json(const SpanStore& spans);
 
 }  // namespace mkbas::obs

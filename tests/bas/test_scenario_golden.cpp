@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,7 @@ void render_machine(sim::Machine& m, Artifacts* out) {
   m.health().flush(m.now());
   (*out)["metrics"] = m.metrics().to_json();
   (*out)["metrics_prom"] = obs::prometheus_render(m.metrics());
-  std::ostringstream trace;
-  obs::write_chrome_trace(trace, m.trace());
-  (*out)["trace"] = trace.str();
+  (*out)["trace"] = obs::to_chrome_trace_json(m.trace());
   (*out)["spans"] = m.spans().to_json();
   (*out)["audit"] = m.audit().to_json();
   (*out)["critical"] =

@@ -110,6 +110,71 @@ core::RunOptions short_fault_opts() {
 
 }  // namespace
 
+TEST(Campaign, CellHashesAreTheirPartsRenderedAndHashed) {
+  // One cell of each kind: the hashes a pool worker streamed must be
+  // fnv1a of the part rendered from the cell's snapshot (a fabric cell:
+  // of run_fabric's renders), and the merged hashes fnv1a of the merged
+  // renders.
+  core::RunOptions quick;
+  quick.settle = sim::sec(10);
+  quick.post = sim::sec(30);
+  quick.seed = 3;
+  std::vector<core::CampaignCell> cells =
+      core::seed_sweep_cells(core::Platform::kMinix, quick, 3, 1);
+  for (auto& c : core::attack_matrix_cells(quick)) {
+    if (c.name == "attack/kill-control-proc/minix/code-exec") {
+      cells.push_back(std::move(c));
+    }
+  }
+  cells.push_back(core::fault_campaign_cells(
+      mkbas::fault::reference_sensor_crash_plan(), short_fault_opts(),
+      sim::sec(70))[0]);
+  core::FabricOptions fab;
+  fab.duration = sim::minutes(3);
+  fab.attack_at = sim::minutes(1);
+  cells.push_back(core::fabric_matrix_cells(3, fab)[1]);  // spoof-write
+  ASSERT_EQ(cells.size(), 4u);
+
+  const auto res = core::run_campaign(cells, 2);
+  ASSERT_EQ(res.cells.size(), 4u);
+  for (const core::CellResult& c : res.cells) {
+    ASSERT_TRUE(c.telemetry) << c.name;
+    const mkbas::obs::TelemetryHashes& h = c.hashes;
+    if (c.kind == core::CellKind::kFabric) {
+      EXPECT_EQ(h.metrics, core::fnv1a(c.fabric.metrics_json));
+      EXPECT_EQ(h.spans, core::fnv1a(c.fabric.spans_json));
+      EXPECT_EQ(h.audit, core::fnv1a(c.fabric.audit_json));
+      EXPECT_EQ(h.series, core::fnv1a(c.fabric.series_json));
+      EXPECT_EQ(h.health, core::fnv1a(c.fabric.health_json));
+      EXPECT_EQ(h.flight, core::fnv1a(c.fabric.flight_json));
+      EXPECT_FALSE(c.fabric.spans_json.empty());
+      continue;
+    }
+    const mkbas::obs::Telemetry& t = *c.telemetry;
+    EXPECT_EQ(h.metrics, core::fnv1a(t.metrics.to_json())) << c.name;
+    EXPECT_EQ(h.spans, core::fnv1a(t.spans.to_json())) << c.name;
+    EXPECT_EQ(h.audit, core::fnv1a(t.audit.to_json())) << c.name;
+    EXPECT_EQ(h.series, core::fnv1a(t.series.to_json())) << c.name;
+    EXPECT_EQ(h.health, core::fnv1a(t.health.to_json())) << c.name;
+    EXPECT_EQ(h.flight, core::fnv1a(t.flight.to_json())) << c.name;
+    EXPECT_GT(t.spans.spans().size(), 0u) << c.name;
+  }
+  const mkbas::obs::TelemetryHashes& m = res.merged_hashes;
+  EXPECT_EQ(m.metrics, core::fnv1a(res.merged_metrics_json));
+  EXPECT_EQ(m.spans, core::fnv1a(res.merged_spans_json));
+  EXPECT_EQ(m.audit, core::fnv1a(res.merged_audit_json));
+  EXPECT_EQ(m.series, core::fnv1a(res.merged_series_json));
+  EXPECT_EQ(m.health, core::fnv1a(res.merged_health_json));
+  EXPECT_EQ(m.flight, core::fnv1a(res.merged_flight_json));
+  // The summary prints exactly those hashes.
+  const std::string summary = res.summary_json();
+  EXPECT_NE(summary.find("\"merged_spans_hash\":\"" + core::hex64(m.spans)),
+            std::string::npos);
+  EXPECT_NE(summary.find("\"spans_hash\":\"" +
+                         core::hex64(res.cells[3].hashes.spans)),
+            std::string::npos);
+}
+
 TEST(Campaign, ParallelFaultCampaignIsByteIdenticalToSequential) {
   const auto cells = core::fault_campaign_cells(
       mkbas::fault::reference_sensor_crash_plan(), short_fault_opts(),
@@ -126,7 +191,8 @@ TEST(Campaign, ParallelFaultCampaignIsByteIdenticalToSequential) {
     EXPECT_EQ(seq.cells[i].name, par.cells[i].name);
     EXPECT_EQ(seq.cells[i].trace_hash, par.cells[i].trace_hash) << cells[i].name;
     EXPECT_EQ(seq.cells[i].trace_events, par.cells[i].trace_events);
-    EXPECT_EQ(seq.cells[i].metrics_json, par.cells[i].metrics_json)
+    EXPECT_EQ(seq.cells[i].telemetry->metrics.to_json(),
+              par.cells[i].telemetry->metrics.to_json())
         << cells[i].name;
   }
   EXPECT_EQ(seq.merged_trace_hash, par.merged_trace_hash);

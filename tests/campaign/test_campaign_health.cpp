@@ -173,10 +173,11 @@ TEST(CampaignHealth, BenignCellSnapshotsControlLoopSeries) {
   const core::CellResult& cell = res.cells[0];
   ASSERT_TRUE(cell.telemetry);
   EXPECT_GT(cell.telemetry->series.total_samples(), 0u);
-  EXPECT_NE(cell.series_json.find("minix.ctl.jitter@m0"),
-            std::string::npos);
-  ASSERT_TRUE(jsonlite::valid(cell.health_json)) << cell.health_json;
-  EXPECT_NE(cell.health_json.find("\"scores\""), std::string::npos);
+  const std::string series_json = cell.telemetry->series.to_json();
+  const std::string health_json = cell.telemetry->health.to_json();
+  EXPECT_NE(series_json.find("minix.ctl.jitter@m0"), std::string::npos);
+  ASSERT_TRUE(jsonlite::valid(health_json)) << health_json;
+  EXPECT_NE(health_json.find("\"scores\""), std::string::npos);
 }
 
 TEST(CampaignHealth, PoolProfileAttributesEveryCell) {

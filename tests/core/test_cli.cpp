@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "core/cli.hpp"
+#include "core/request.hpp"
 
 namespace core = mkbas::core;
 

@@ -5,7 +5,6 @@
 // seed must not.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -29,9 +28,7 @@ core::RunOptions short_opts(std::uint64_t seed, Exports* out) {
   opts.seed = seed;
   opts.observe = [out](sim::Machine& m) {
     out->metrics = m.metrics().to_json();
-    std::ostringstream os;
-    mkbas::obs::write_chrome_trace(os, m.trace());
-    out->trace = os.str();
+    out->trace = mkbas::obs::to_chrome_trace_json(m.trace());
   };
   return opts;
 }

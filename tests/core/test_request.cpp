@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cli.hpp"
 #include "core/experiment.hpp"
 #include "core/jsonv.hpp"
 #include "core/request.hpp"
