@@ -133,8 +133,8 @@ class ServeTracer {
   std::map<std::uint64_t, PendingFlush> flushes_;  // token -> open root
   std::map<std::uint64_t, PendingCell> cells_;     // cell key -> queue state
   /// route -> interned "serve.req.<route>": the handful of routes are
-  /// resolved once instead of paying the concat + global-registry lock
-  /// on every request.
+  /// resolved once instead of paying the concat and the intern on every
+  /// request.
   std::unordered_map<std::string, std::uint32_t> route_names_;
   std::uint64_t requests_ = 0;
   std::uint64_t slow_ = 0;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace sim = mkbas::sim;
 
@@ -80,6 +84,63 @@ TEST(Trace, TagInterningIsStableAndIdempotent) {
   std::uint32_t id = 0;
   EXPECT_TRUE(reg.try_lookup("trace_test.tag_b", &id));
   EXPECT_EQ(id, b);
+}
+
+TEST(Trace, TagNamesStayPutAcrossSegmentBoundaries) {
+  // 300 new names cross the registry's segment edges at ids 64, 128 and
+  // 256 wherever the process's earlier tags left off.
+  auto& reg = sim::TagRegistry::instance();
+  std::vector<std::uint32_t> ids;
+  std::vector<const std::string*> where;
+  for (int i = 0; i < 300; ++i) {
+    ids.push_back(reg.intern("trace_test.segment_" + std::to_string(i)));
+    where.push_back(&reg.name(ids.back()));
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::string want = "trace_test.segment_" + std::to_string(i);
+    EXPECT_EQ(reg.name(ids[i]), want);
+    EXPECT_EQ(&reg.name(ids[i]), where[i]) << "name " << i << " moved";
+    EXPECT_EQ(reg.intern(want), ids[i]);
+    if (i > 0) {
+      EXPECT_EQ(ids[i], ids[i - 1] + 1);
+    }
+  }
+  EXPECT_EQ(reg.size(), ids.back() + 1u);
+}
+
+TEST(Trace, ConcurrentInternersAgreeOnEveryId) {
+  // Four threads intern one vocabulary in different orders and read the
+  // names back while the others are still adding: one id per name, and
+  // name(id) is that name. Under TSan this also checks the lock-free
+  // reads.
+  constexpr int kThreads = 4;
+  constexpr int kNames = 400;
+  auto& reg = sim::TagRegistry::instance();
+  std::vector<std::vector<std::uint32_t>> seen(
+      kThreads, std::vector<std::uint32_t>(kNames));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reg, &seen, t] {
+      for (int k = 0; k < kNames; ++k) {
+        const int i = t % 2 == 0 ? k : kNames - 1 - k;
+        const std::string s = "trace_test.concurrent_" + std::to_string(i);
+        const std::uint32_t id = reg.intern(s);
+        seen[t][i] = id;
+        if (reg.name(id) != s) ADD_FAILURE() << s << " read back wrong";
+        std::uint32_t again = 0;
+        if (!reg.try_lookup(s, &again) || again != id) {
+          ADD_FAILURE() << s << " lookup disagrees";
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<std::uint32_t> distinct;
+  for (int i = 0; i < kNames; ++i) {
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][i], seen[0][i]);
+    distinct.insert(seen[0][i]);
+  }
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kNames));
 }
 
 TEST(Trace, CountTagOfNeverEmittedTagIsZeroWithoutInterning) {
