@@ -1,5 +1,7 @@
 #include "serve/daemon.hpp"
 
+#include <sched.h>
+
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -198,6 +200,37 @@ void Daemon::publish_execution(std::uint64_t key, const ResultBundle* bundle,
                    "\",\"wall_us\":" + std::to_string(wall_us) + "}");
 }
 
+namespace {
+
+/// While alive, keeps the calling thread off `cpu` if it is running there
+/// and another CPU is allowed; the thread's CPU mask is restored after.
+/// A thread woken or started by the HTTP loop tends to land on the CPU
+/// that went idle last, which under steady traffic is the loop's (and a
+/// local client's); a cell left there is preempted by every request and
+/// runs up to half again as long.
+class KeepOffCpu {
+ public:
+  explicit KeepOffCpu(int cpu) {
+    if (cpu < 0 || ::sched_getcpu() != cpu) return;
+    if (::sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    cpu_set_t rest = saved_;
+    CPU_CLR(cpu, &rest);
+    moved_ = CPU_COUNT(&rest) > 0 &&
+             ::sched_setaffinity(0, sizeof rest, &rest) == 0;
+  }
+  ~KeepOffCpu() {
+    if (moved_) ::sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  KeepOffCpu(const KeepOffCpu&) = delete;
+  KeepOffCpu& operator=(const KeepOffCpu&) = delete;
+
+ private:
+  cpu_set_t saved_{};
+  bool moved_ = false;
+};
+
+}  // namespace
+
 void Daemon::executor_loop() {
   for (;;) {
     // One drain pass: walk the client rotation, taking the oldest cell
@@ -239,6 +272,7 @@ void Daemon::executor_loop() {
     }
     std::vector<std::uint64_t> walls(keys.size(), 0);
     pool_.run(keys.size(), [&](std::size_t i) {
+      const KeepOffCpu off(http_.loop_cpu());
       const std::uint64_t t0 = host_us();
       tracer_.execute_begin(keys[i], t0);
       ResultBundle bundle;

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -422,6 +423,7 @@ void HttpServer::loop() {
       if (errno == EINTR) continue;
       return;
     }
+    loop_cpu_.store(::sched_getcpu(), std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_fd_) {

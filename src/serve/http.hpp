@@ -107,6 +107,9 @@ class HttpServer {
   /// The actually-bound port (useful after start(0, ...)).
   int port() const { return port_; }
 
+  /// The CPU the loop thread last woke on (-1 before it first runs).
+  int loop_cpu() const { return loop_cpu_.load(std::memory_order_relaxed); }
+
   /// Wake the loop, close every connection, join the thread. Idempotent.
   void stop();
 
@@ -173,6 +176,7 @@ class HttpServer {
   /// forces an immediate drain instead of waiting out the tick.
   std::atomic<bool> local_stream_pending_{false};
   std::atomic<std::thread::id> loop_tid_{};
+  std::atomic<int> loop_cpu_{-1};
   std::uint64_t last_stream_drain_us_ = 0;  // loop thread only
   static constexpr std::uint64_t kStreamTickUs = 2000;
   static constexpr std::size_t kStreamBurstBytes = 64 * 1024;
