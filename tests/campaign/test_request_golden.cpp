@@ -22,9 +22,7 @@ using mkbas::bas::Platform;
 namespace {
 
 /// "kind=hash" for every artifact of the bundle, in key order.
-std::string bundle_row(const core::ExperimentRequest& req) {
-  const core::ExperimentResponse resp =
-      core::run_request(req, core::all_deterministic_artifacts());
+std::string bundle_row(const core::ExperimentResponse& resp) {
   std::string row;
   for (const auto& [name, text] : resp.artifacts) {
     if (!row.empty()) row += ' ';
@@ -52,10 +50,19 @@ std::string source_form(const std::string& row) {
   return out + "\"";
 }
 
-void expect_bundle(const core::ExperimentRequest& req, const char* golden) {
-  const std::string row = bundle_row(req);
+/// Pins the bundle and, when `table_golden` is given, the hash of the
+/// text the CLI prints (only modes whose table carries no wall clock).
+void expect_bundle(const core::ExperimentRequest& req, const char* golden,
+                   const char* table_golden = nullptr) {
+  const core::ExperimentResponse resp =
+      core::run_request(req, core::all_deterministic_artifacts());
+  const std::string row = bundle_row(resp);
   EXPECT_EQ(row, golden) << req.to_canonical_json() << "\nrecomputed row:\n"
                          << source_form(row);
+  if (table_golden != nullptr) {
+    EXPECT_EQ(core::hex64(core::fnv1a(resp.table)), table_golden)
+        << resp.table;
+  }
 }
 
 core::ExperimentRequest request(RequestMode mode) {
@@ -105,6 +112,14 @@ TEST(RequestGolden, FaultLinux) {
                 "summary=227f50272b8ca2b2 trace=55406d4e5696b630");
 }
 
+// ---- T1 ----
+
+TEST(RequestGolden, Matrix) {
+  core::ExperimentRequest r = request(RequestMode::kMatrix);
+  r.jobs = 4;
+  expect_bundle(r, "summary=0a8811f1952f8c96", "305c834bc788e9d6");
+}
+
 // ---- fabric ----
 
 TEST(RequestGolden, FabricFlatFlood) {
@@ -136,6 +151,16 @@ TEST(RequestGolden, FabricTreeSpoofWrite) {
 }
 
 // ---- campaigns ----
+
+TEST(RequestGolden, CampaignMatrix) {
+  core::ExperimentRequest r = request(RequestMode::kCampaignMatrix);
+  r.jobs = 4;
+  expect_bundle(r,
+                "audit=4959d3cbb8461ccf flight=c480092d100aebcf "
+                "health=bd0681fe5622ea31 metrics=d480df4e58c0ad01 "
+                "metrics_prom=9b1b46d9da8c1e35 series=594f5605d2280066 "
+                "spans=8a4b92fc38550722 summary=52c7c3c8beacd7e7");
+}
 
 TEST(RequestGolden, CampaignFault) {
   expect_bundle(request(RequestMode::kCampaignFault),
