@@ -64,8 +64,9 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(t1 - t0).count();
   const auto r2 = core::run_fabric(opts);
 
-  const bool replays = r1.trace_hash == r2.trace_hash &&
-                       r1.metrics_json == r2.metrics_json;
+  const bool replays =
+      r1.trace_hash == r2.trace_hash &&
+      r1.telemetry->metrics.to_json() == r2.telemetry->metrics.to_json();
   std::printf("building       : %d zones, %.1f virtual min, %.2f s wall\n",
               zones, sim::to_seconds(opts.duration) / 60.0, wall_s);
   const double rate =

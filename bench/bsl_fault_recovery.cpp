@@ -66,8 +66,9 @@ int main(int argc, char** argv) {
   // every restart policy has fired.
   const sim::Time probe_at = sim::sec(70);
 
+  // Only the rows are read: no telemetry snapshots (mask 0).
   const auto campaign = core::run_campaign(
-      core::fault_campaign_cells(plan, opts, probe_at), jobs);
+      core::fault_campaign_cells(plan, opts, probe_at), jobs, 0);
   const std::vector<core::FaultRunResult> rows = core::fault_rows(campaign);
 
   std::printf("%s\n", core::format_fault_table(rows).c_str());

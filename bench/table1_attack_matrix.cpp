@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
       "workload: temperature-control scenario; web interface compromised\n"
       "at t=12min; run ends at t=32min. 'primitive' is the syscall-level\n"
       "outcome; 'physical world' is the ground-truth safety verdict.\n\n");
-  const auto rows = mkbas::core::run_attack_matrix({}, jobs);
+  // The table reads only the rows: no telemetry snapshots (mask 0).
+  const auto rows = mkbas::core::attack_rows(mkbas::core::run_campaign(
+      mkbas::core::attack_matrix_cells(), jobs, 0));
   std::printf("%s", mkbas::core::format_attack_table(rows).c_str());
   std::printf(
       "\nNotes:\n"

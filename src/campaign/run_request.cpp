@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "campaign/campaign.hpp"
-#include "core/hash.hpp"
 #include "core/report.hpp"
 #include "obs/json.hpp"
 #include "obs/prometheus.hpp"
@@ -42,51 +41,46 @@ void put(unsigned mask, ArtifactKind k, const std::string& text,
   if (want(mask, k)) (*out)[to_string(k)] = text;
 }
 
-/// A part of a machine's live telemetry, rendered.
+/// A part of a machine's live telemetry or of a fabric's fold, rendered.
 template <auto Part>
-std::string part_json(const sim::Machine& m) {
-  return (m.telemetry().*Part).to_json();
+std::string part_json(const obs::Telemetry& t, const char* /*leaf*/) {
+  return (t.*Part).to_json();
 }
 
-std::string chrome_trace(const sim::Machine& m) {
-  return obs::to_chrome_trace_json(m.trace());
-}
-
-std::string control_critical_path(const sim::Machine& m) {
-  return obs::critical_path_json(m.spans(), "sensor.sample", "act.apply");
+/// Every sensor.sample chain that ends in a `leaf` span, decomposed per
+/// hop.
+std::string critical_path(const obs::Telemetry& t, const char* leaf) {
+  return obs::critical_path_json(t.spans, "sensor.sample", leaf);
 }
 
 /// Where each telemetry artifact comes from, per mode. A single machine
-/// renders it from its live parts after the run. A fabric or campaign
-/// result already carries its fold rendered (its summary hashes it), so
-/// those modes reuse that string; null means the mode has no such
-/// export. Only a machine has a TraceLog, and the critical path needs a
-/// leaf span: act.apply on a machine, net.link on a fabric, none across
-/// a campaign's mixed cells. metrics_prom is not a row: every mode
-/// renders it from its live registry (put_prometheus).
+/// and a fabric render it with `render` from their telemetry: the
+/// machine's live parts, or the fabric's node-order fold. A campaign
+/// result carries its merged parts, rendered as its mask asked; null
+/// means a campaign has no such export (a critical path needs one leaf
+/// span, and a campaign's cells mix them). Two kinds are not rows: the
+/// Chrome trace needs a machine's TraceLog, and metrics_prom is rendered
+/// in every mode from the live registry (put_prometheus).
 struct TelemetryArtifact {
   ArtifactKind kind;
-  std::string (*machine)(const sim::Machine&);
-  std::string FabricRunResult::*fabric;
+  std::string (*render)(const obs::Telemetry&, const char* leaf);
   std::string CampaignResult::*campaign;
 };
 
 const TelemetryArtifact kTelemetryArtifacts[] = {
     {ArtifactKind::kMetrics, part_json<&obs::Telemetry::metrics>,
-     &FabricRunResult::metrics_json, &CampaignResult::merged_metrics_json},
-    {ArtifactKind::kTrace, chrome_trace, nullptr, nullptr},
+     &CampaignResult::merged_metrics_json},
     {ArtifactKind::kSpans, part_json<&obs::Telemetry::spans>,
-     &FabricRunResult::spans_json, &CampaignResult::merged_spans_json},
+     &CampaignResult::merged_spans_json},
     {ArtifactKind::kAudit, part_json<&obs::Telemetry::audit>,
-     &FabricRunResult::audit_json, &CampaignResult::merged_audit_json},
-    {ArtifactKind::kCritical, control_critical_path,
-     &FabricRunResult::critical_path_json, nullptr},
+     &CampaignResult::merged_audit_json},
+    {ArtifactKind::kCritical, critical_path, nullptr},
     {ArtifactKind::kSeries, part_json<&obs::Telemetry::series>,
-     &FabricRunResult::series_json, &CampaignResult::merged_series_json},
+     &CampaignResult::merged_series_json},
     {ArtifactKind::kHealth, part_json<&obs::Telemetry::health>,
-     &FabricRunResult::health_json, &CampaignResult::merged_health_json},
+     &CampaignResult::merged_health_json},
     {ArtifactKind::kFlight, part_json<&obs::Telemetry::flight>,
-     &FabricRunResult::flight_json, &CampaignResult::merged_flight_json},
+     &CampaignResult::merged_flight_json},
 };
 
 /// metrics_prom in every mode: the live registry rendered the way the
@@ -95,6 +89,16 @@ void put_prometheus(unsigned mask, const obs::MetricsRegistry& live,
                     Artifacts* out) {
   constexpr ArtifactKind kind = ArtifactKind::kMetricsProm;
   if (want(mask, kind)) (*out)[to_string(kind)] = obs::prometheus_render(live);
+}
+
+/// The asked-for telemetry artifacts of a machine or a fabric, rendered
+/// from `t`; `leaf` ends the critical path's chains.
+void put_telemetry(unsigned mask, const obs::Telemetry& t, const char* leaf,
+                   Artifacts* out) {
+  for (const TelemetryArtifact& a : kTelemetryArtifacts) {
+    if (want(mask, a.kind)) (*out)[to_string(a.kind)] = a.render(t, leaf);
+  }
+  put_prometheus(mask, t.metrics, out);
 }
 
 RunOptions run_options_from(const ExperimentRequest& req, unsigned mask,
@@ -106,13 +110,14 @@ RunOptions run_options_from(const ExperimentRequest& req, unsigned mask,
   opts.scenario.linux_separate_accounts = req.acl;
   // Render the requested telemetry while the machine is still alive,
   // health flushed first so trailing detector windows land in every
-  // export.
+  // export. A machine's control chains end in act.apply.
   opts.observe = [mask, artifacts](sim::Machine& m) {
     m.health().flush(m.now());
-    for (const TelemetryArtifact& a : kTelemetryArtifacts) {
-      if (want(mask, a.kind)) (*artifacts)[to_string(a.kind)] = a.machine(m);
+    put_telemetry(mask, m.telemetry(), "act.apply", artifacts);
+    if (want(mask, ArtifactKind::kTrace)) {
+      (*artifacts)[to_string(ArtifactKind::kTrace)] =
+          obs::to_chrome_trace_json(m.trace());
     }
-    put_prometheus(mask, m.metrics(), artifacts);
   };
   return opts;
 }
@@ -121,22 +126,23 @@ RunOptions run_options_from(const ExperimentRequest& req, unsigned mask,
 /// gate diffs across --jobs / reruns). Keys emitted in sorted order, like
 /// every other JSON export in the repo.
 std::string fabric_summary_json(const FabricRunResult& r) {
+  const obs::TelemetryHashes h = r.telemetry->hashes();
   obs::JsonWriter w;
   w.raw("{\"attack\":\"").raw(to_string(r.attack))
-      .raw("\",\"audit_hash\":\"").hex(fnv1a(r.audit_json))
+      .raw("\",\"audit_hash\":\"").hex(h.audit)
       .raw("\",\"cov\":").num(r.cov_count)
       .raw(",\"delivered\":").num(r.delivered)
       .raw(",\"drop_loss\":").num(r.drop_loss)
       .raw(",\"drop_overflow\":").num(r.drop_overflow)
       .raw(",\"drop_partition\":").num(r.drop_partition)
-      .raw(",\"flight_hash\":\"").hex(fnv1a(r.flight_json))
+      .raw(",\"flight_hash\":\"").hex(h.flight)
       .raw("\",\"health_events\":").num(r.health_events)
-      .raw(",\"health_hash\":\"").hex(fnv1a(r.health_json))
-      .raw("\",\"metrics_hash\":\"").hex(fnv1a(r.metrics_json))
+      .raw(",\"health_hash\":\"").hex(h.health)
+      .raw("\",\"metrics_hash\":\"").hex(h.metrics)
       .raw("\",\"nodes\":").num(r.nodes)
       .raw(",\"schema_version\":").num(obs::kSchemaVersion)
-      .raw(",\"series_hash\":\"").hex(fnv1a(r.series_json))
-      .raw("\",\"spans_hash\":\"").hex(fnv1a(r.spans_json))
+      .raw(",\"series_hash\":\"").hex(h.series)
+      .raw("\",\"spans_hash\":\"").hex(h.spans)
       .raw("\",\"topology\":\"").raw(r.topology)
       .raw("\",\"trace_hash\":\"").hex(r.trace_hash)
       .raw("\",\"zones\":").num(r.zones).put('}');
@@ -274,7 +280,9 @@ ExperimentResponse run_attack_request(const ExperimentRequest& req,
 ExperimentResponse run_matrix_request(const ExperimentRequest& req,
                                       unsigned mask) {
   ExperimentResponse resp;
-  const auto rows = run_attack_matrix();
+  // T1 reads only the rows: its cells run without telemetry snapshots.
+  const auto rows =
+      attack_rows(run_campaign(attack_matrix_cells(), req.jobs, 0));
   if (req.format == "csv") {
     resp.table = attack_rows_to_csv(rows);
   } else if (req.format == "md") {
@@ -344,12 +352,13 @@ ExperimentResponse run_fabric_request(const ExperimentRequest& req,
   (void)parse_fabric_attack(req.attack, &opts.attack);  // validated
   const auto res = run_fabric(opts);
   resp.table = format_fabric_table(res);
-  Artifacts* out = &resp.artifacts;
-  put(mask, ArtifactKind::kSummary, fabric_summary_json(res), out);
-  for (const TelemetryArtifact& a : kTelemetryArtifacts) {
-    if (a.fabric != nullptr) put(mask, a.kind, res.*a.fabric, out);
+  if (want(mask, ArtifactKind::kSummary)) {
+    resp.artifacts[to_string(ArtifactKind::kSummary)] =
+        fabric_summary_json(res);
   }
-  put_prometheus(mask, res.telemetry->metrics, out);
+  // A fabric's telemetry chains end in net.link, each COV sample's last
+  // link.
+  put_telemetry(mask, *res.telemetry, "net.link", &resp.artifacts);
   return resp;
 }
 
@@ -385,7 +394,7 @@ ExperimentResponse run_campaign_request(const ExperimentRequest& req,
 
   const bool profiling = want(mask, ArtifactKind::kProfile) ||
                          want(mask, ArtifactKind::kProfileTrace);
-  const auto result = run_campaign(cells, req.jobs);
+  const auto result = run_campaign(cells, req.jobs, mask);
   appendf(&resp.table, "campaign: %zu cells, --jobs %d, %.2f s wall, "
           "%llu steals\n",
           result.cells.size(), result.jobs, result.wall_seconds,
@@ -407,11 +416,13 @@ ExperimentResponse run_campaign_request(const ExperimentRequest& req,
   }
 
   Artifacts* out = &resp.artifacts;
-  put(mask, ArtifactKind::kSummary, result.summary_json(), out);
+  if (want(mask, ArtifactKind::kSummary)) {
+    (*out)[to_string(ArtifactKind::kSummary)] = result.summary_json();
+  }
   for (const TelemetryArtifact& a : kTelemetryArtifacts) {
     if (a.campaign != nullptr) put(mask, a.kind, result.*a.campaign, out);
   }
-  put_prometheus(mask, result.telemetry->metrics, out);
+  if (result.telemetry) put_prometheus(mask, result.telemetry->metrics, out);
   // Pool profile: host wall-time, --jobs-dependent by nature — produced
   // only on request and kept out of the deterministic bundle.
   if (profiling) {

@@ -109,34 +109,6 @@ AttackRow run_attack(Platform platform, AttackKind kind, Privilege priv,
   return row;
 }
 
-std::vector<AttackRow> run_attack_matrix(const RunOptions& opts) {
-  std::vector<AttackRow> rows;
-  const AttackKind kinds[] = {
-      AttackKind::kSpoofSensor, AttackKind::kSpoofActuator,
-      AttackKind::kKillControl, AttackKind::kForkBomb,
-      AttackKind::kCapBruteForce, AttackKind::kIpcFlood};
-  const Platform platforms[] = {Platform::kLinux, Platform::kMinix,
-                                Platform::kSel4};
-  for (AttackKind kind : kinds) {
-    for (Platform p : platforms) {
-      for (Privilege priv : {Privilege::kCodeExec, Privilege::kRoot}) {
-        // Root adds nothing on seL4 (no user concept, §IV.D.3): skip the
-        // duplicate run but keep both privilege rows elsewhere.
-        if (p == Platform::kSel4 && priv == Privilege::kRoot) continue;
-        rows.push_back(run_attack(p, kind, priv, opts));
-      }
-      // Ablation: the paper's proposed ACM fork quota stops the bomb.
-      if (p == Platform::kMinix && kind == AttackKind::kForkBomb) {
-        RunOptions quota_opts = opts;
-        quota_opts.scenario.enable_quotas = true;
-        rows.push_back(run_attack(p, kind, Privilege::kCodeExec,
-                                  quota_opts));
-      }
-    }
-  }
-  return rows;
-}
-
 namespace {
 
 /// Shared post-run analysis for fault campaigns: recovery and excursion

@@ -62,10 +62,6 @@ struct AttackRow {
 AttackRow run_attack(Platform platform, attack::AttackKind kind,
                      attack::Privilege priv, const RunOptions& opts = {});
 
-/// The full matrix the paper's §IV.D narrative describes, plus the
-/// fork-quota ablation rows (paper's proposed future work, implemented).
-std::vector<AttackRow> run_attack_matrix(const RunOptions& opts = {});
-
 /// Render rows as the aligned text table bench T1 prints.
 std::string format_attack_table(const std::vector<AttackRow>& rows);
 

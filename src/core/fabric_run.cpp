@@ -595,15 +595,7 @@ FabricRunResult run_fabric(const FabricOptions& opts) {
 
   if (fold) {
     const obs::SpanStore& merged_spans = fold->spans;
-    res.metrics_json = fold->metrics.to_json();
-    res.spans_json = merged_spans.to_json();
-    res.audit_json = fold->audit.to_json();
-    res.series_json = fold->series.to_json();
-    res.health_json = fold->health.to_json();
-    res.flight_json = fold->flight.to_json();
     res.health_events = fold->health.events().size();
-    res.critical_path_json =
-        obs::critical_path_json(merged_spans, "sensor.sample", "net.link");
     // Mean telemetry e2e from the spans themselves (leaf.end -
     // root.start over complete chains) — tests compare this against the
     // head-end's COV latency histogram.

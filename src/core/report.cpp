@@ -54,15 +54,4 @@ std::string attack_rows_to_markdown(const std::vector<AttackRow>& rows) {
   return os.str();
 }
 
-std::string benign_history_to_csv(const BenignRun& run) {
-  std::ostringstream os;
-  os << "time_s,true_temp_c,outdoor_c,heater_on,alarm_on\n";
-  for (const auto& s : run.history) {
-    os << sim::to_seconds(s.time) << ',' << s.true_temp_c << ','
-       << s.outdoor_c << ',' << (s.heater_on ? 1 : 0) << ','
-       << (s.alarm_on ? 1 : 0) << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace mkbas::core

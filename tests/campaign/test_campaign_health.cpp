@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "../obs/json_lite.hpp"
+#include "../same_bytes.hpp"
 #include "campaign/campaign.hpp"
 #include "core/fabric_run.hpp"
 
@@ -59,19 +60,21 @@ TEST(FabricHealth, FloodTripsTheOverflowSurgeBeforeTheVerdict) {
   // the flood is still running.
   EXPECT_GT(res.drop_overflow, 0u);
   ASSERT_GT(res.health_events, 0u);
-  ASSERT_TRUE(jsonlite::valid(res.health_json)) << res.health_json;
-  EXPECT_NE(res.health_json.find("net.inbox_overflow"), std::string::npos);
-  EXPECT_NE(res.health_json.find("\"surge\""), std::string::npos);
+  const std::string health = res.telemetry->health.to_json();
+  ASSERT_TRUE(jsonlite::valid(health)) << health;
+  EXPECT_NE(health.find("net.inbox_overflow"), std::string::npos);
+  EXPECT_NE(health.find("\"surge\""), std::string::npos);
 
   // The detector firing pulled a flight-recorder snapshot.
-  ASSERT_TRUE(jsonlite::valid(res.flight_json)) << res.flight_json;
-  EXPECT_NE(res.flight_json.find("health.net.inbox_overflow"),
-            std::string::npos);
+  const std::string flight = res.telemetry->flight.to_json();
+  ASSERT_TRUE(jsonlite::valid(flight)) << flight;
+  EXPECT_NE(flight.find("health.net.inbox_overflow"), std::string::npos);
 
   // Detection precedes judgment: the surge's audit record is journaled
   // during the run, the per-zone verdicts only at opts.duration.
-  const std::size_t anomaly = res.audit_json.find("health.anomaly");
-  const std::size_t verdict = res.audit_json.find("attack.verdict");
+  const std::string audit = res.telemetry->audit.to_json();
+  const std::size_t anomaly = audit.find("health.anomaly");
+  const std::size_t verdict = audit.find("attack.verdict");
   ASSERT_NE(anomaly, std::string::npos);
   ASSERT_NE(verdict, std::string::npos);
   EXPECT_LT(anomaly, verdict);
@@ -99,13 +102,15 @@ TEST(FabricHealth, HundredZoneTreeFloodTripsTheFloorSurgeFirst) {
   EXPECT_GT(res.drop_overflow, 0u);
   EXPECT_EQ(res.causality_violations, 0u);
   ASSERT_GT(res.health_events, 0u);
-  ASSERT_TRUE(jsonlite::valid(res.health_json)) << res.health_json;
-  EXPECT_NE(res.health_json.find("net.inbox_overflow"), std::string::npos);
-  EXPECT_NE(res.health_json.find("\"surge\""), std::string::npos);
+  const std::string health = res.telemetry->health.to_json();
+  ASSERT_TRUE(jsonlite::valid(health)) << health;
+  EXPECT_NE(health.find("net.inbox_overflow"), std::string::npos);
+  EXPECT_NE(health.find("\"surge\""), std::string::npos);
 
   // Detection precedes judgment, same invariant as the 3-zone building.
-  const std::size_t anomaly = res.audit_json.find("health.anomaly");
-  const std::size_t verdict = res.audit_json.find("attack.verdict");
+  const std::string audit = res.telemetry->audit.to_json();
+  const std::size_t anomaly = audit.find("health.anomaly");
+  const std::size_t verdict = audit.find("attack.verdict");
   ASSERT_NE(anomaly, std::string::npos);
   ASSERT_NE(verdict, std::string::npos);
   EXPECT_LT(anomaly, verdict);
@@ -119,13 +124,16 @@ TEST(FabricHealth, HundredZoneTreeFloodTripsTheFloorSurgeFirst) {
 TEST(FabricHealth, ObservabilityArtifactsReplayByteIdentically) {
   const core::FabricRunResult one = core::run_fabric(flood_building());
   const core::FabricRunResult two = core::run_fabric(flood_building());
-  ASSERT_FALSE(one.series_json.empty());
-  EXPECT_EQ(one.series_json, two.series_json);
-  EXPECT_EQ(one.health_json, two.health_json);
-  EXPECT_EQ(one.flight_json, two.flight_json);
+  const std::string series = one.telemetry->series.to_json();
+  ASSERT_FALSE(series.empty());
+  EXPECT_TRUE(same_bytes(series, two.telemetry->series.to_json()));
+  EXPECT_TRUE(same_bytes(one.telemetry->health.to_json(),
+                         two.telemetry->health.to_json()));
+  EXPECT_TRUE(same_bytes(one.telemetry->flight.to_json(),
+                         two.telemetry->flight.to_json()));
   EXPECT_EQ(one.health_events, two.health_events);
-  ASSERT_TRUE(jsonlite::valid(one.series_json)) << one.series_json;
-  EXPECT_NE(one.series_json.find("\"schema_version\":"), std::string::npos);
+  ASSERT_TRUE(jsonlite::valid(series)) << series;
+  EXPECT_NE(series.find("\"schema_version\":"), std::string::npos);
 }
 
 TEST(FabricHealth, TraceOffArmStaysQuiet) {
@@ -135,7 +143,8 @@ TEST(FabricHealth, TraceOffArmStaysQuiet) {
   // The A/B baseline arm records no health events and keeps no
   // snapshots, so the perf comparison against trace-on stays clean.
   EXPECT_EQ(res.health_events, 0u);
-  EXPECT_NE(res.flight_json.find("\"snapshots\":[]"), std::string::npos);
+  EXPECT_NE(res.telemetry->flight.to_json().find("\"snapshots\":[]"),
+            std::string::npos);
 }
 
 TEST(CampaignHealth, MergedHealthArtifactsAreJobsInvariant) {
@@ -144,10 +153,10 @@ TEST(CampaignHealth, MergedHealthArtifactsAreJobsInvariant) {
   const core::CampaignResult par = core::run_campaign(cells, 4);
 
   ASSERT_FALSE(seq.merged_health_json.empty());
-  EXPECT_EQ(seq.merged_series_json, par.merged_series_json);
-  EXPECT_EQ(seq.merged_health_json, par.merged_health_json);
-  EXPECT_EQ(seq.merged_flight_json, par.merged_flight_json);
-  EXPECT_EQ(seq.summary_json(), par.summary_json());
+  EXPECT_TRUE(same_bytes(seq.merged_series_json, par.merged_series_json));
+  EXPECT_TRUE(same_bytes(seq.merged_health_json, par.merged_health_json));
+  EXPECT_TRUE(same_bytes(seq.merged_flight_json, par.merged_flight_json));
+  EXPECT_TRUE(same_bytes(seq.summary_json(), par.summary_json()));
 
   // The merge really carries the building: the flood cell's surge and
   // the benign cells' control-loop series are all present.

@@ -3,6 +3,7 @@
 // Linux do they reach the physical world.
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.hpp"
 #include "core/experiment.hpp"
 
 namespace core = mkbas::core;
@@ -215,7 +216,8 @@ TEST(AttackMinix, ReincarnationRestoresAKilledDriver) {
 TEST(AttackMatrix, ReproducesThePapersHeadline) {
   // Condensed sanity over the full matrix: on Linux at least one attack
   // reaches the physical world; on the microkernels none does.
-  const auto rows = core::run_attack_matrix();
+  const auto rows =
+      core::attack_rows(core::run_campaign(core::attack_matrix_cells(), 1, 0));
   int linux_compromises = 0, minix_compromises = 0, sel4_compromises = 0;
   for (const auto& r : rows) {
     if (!r.safety.physically_compromised()) continue;

@@ -47,16 +47,6 @@ TEST(Report, MarkdownTableRenders) {
   EXPECT_NE(md.find("TEMP-EXCURSION"), std::string::npos);
 }
 
-TEST(Report, BenignHistoryCsv) {
-  core::BenignRun run;
-  run.history.push_back({mkbas::sim::sec(10), 21.5, 10.0, true, false});
-  run.history.push_back({mkbas::sim::sec(11), 21.6, 10.0, false, true});
-  const std::string csv = core::benign_history_to_csv(run);
-  EXPECT_EQ(csv.find("time_s,true_temp_c"), 0u);
-  EXPECT_NE(csv.find("10,21.5,10,1,0"), std::string::npos);
-  EXPECT_NE(csv.find("11,21.6,10,0,1"), std::string::npos);
-}
-
 TEST(Report, EmptyInputsProduceHeadersOnly) {
   EXPECT_NE(core::attack_rows_to_csv({}).find("attack,"), std::string::npos);
   const std::string md = core::attack_rows_to_markdown({});

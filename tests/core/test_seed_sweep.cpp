@@ -9,7 +9,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/experiment.hpp"
+#include "campaign/campaign.hpp"
 
 namespace core = mkbas::core;
 namespace sim = mkbas::sim;
@@ -32,7 +32,8 @@ core::RunOptions sweep_opts(std::uint64_t seed) {
 
 Outcomes matrix_outcomes(std::uint64_t seed) {
   Outcomes out;
-  for (const auto& row : core::run_attack_matrix(sweep_opts(seed))) {
+  const auto cells = core::attack_matrix_cells(sweep_opts(seed));
+  for (const auto& row : core::attack_rows(core::run_campaign(cells, 1, 0))) {
     const Key key{row.platform_label, static_cast<int>(row.kind),
                   static_cast<int>(row.privilege)};
     out[key] = row.outcome.primitive_succeeded;

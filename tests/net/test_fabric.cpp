@@ -4,6 +4,7 @@
 // matrix riding on top of it (core::run_fabric).
 #include <gtest/gtest.h>
 
+#include "../same_bytes.hpp"
 #include "campaign/campaign.hpp"
 #include "core/fabric_run.hpp"
 #include "core/hash.hpp"
@@ -187,7 +188,8 @@ TEST(FabricRun, ReplaysByteIdenticallyWithLossAndPartitions) {
   EXPECT_EQ(r1.drop_loss, r2.drop_loss);
   EXPECT_EQ(r1.drop_partition, r2.drop_partition);
   EXPECT_EQ(r1.trace_hash, r2.trace_hash);
-  EXPECT_EQ(r1.metrics_json, r2.metrics_json);
+  EXPECT_TRUE(same_bytes(r1.telemetry->metrics.to_json(),
+                         r2.telemetry->metrics.to_json()));
 }
 
 TEST(FabricRun, DifferentSeedsDiverge) {
@@ -260,8 +262,9 @@ TEST(FabricRun, CovLatencyHistogramPopulated) {
   EXPECT_GE(r.cov_p99_us, 5000.0);
   EXPECT_LE(r.cov_p99_us, 10000.0);
   // The fabric metrics made it into the merged registry export.
-  EXPECT_NE(r.metrics_json.find("fabric.cov.latency_us"), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("fabric.delivered"), std::string::npos);
+  const std::string metrics = r.telemetry->metrics.to_json();
+  EXPECT_NE(metrics.find("fabric.cov.latency_us"), std::string::npos);
+  EXPECT_NE(metrics.find("fabric.delivered"), std::string::npos);
 }
 
 // --- the campaign cell: one building per cell, any --jobs ----------------
@@ -274,7 +277,7 @@ TEST(FabricCampaign, SixteenZoneBuildingIdenticalAcrossJobCounts) {
   ASSERT_EQ(cells.size(), 4u);  // none / spoof-write / replay / flood
   const auto seq = core::run_campaign(cells, /*jobs=*/1);
   const auto par = core::run_campaign(cells, /*jobs=*/4);
-  EXPECT_EQ(seq.summary_json(), par.summary_json());
+  EXPECT_TRUE(same_bytes(seq.summary_json(), par.summary_json()));
 
   const auto rows = core::fabric_rows(seq);
   ASSERT_EQ(rows.size(), 4u);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../same_bytes.hpp"
 #include "core/fabric_run.hpp"
 #include "core/hash.hpp"
 #include "net/fabric.hpp"
@@ -43,14 +44,24 @@ struct Observation {
   std::uint64_t violations = 0;
   std::vector<sim::Time> sent_at;  // canonical capture order
 
-  bool operator==(const Observation& o) const {
-    return metrics_json == o.metrics_json && spans_json == o.spans_json &&
-           trace_hash == o.trace_hash && posted == o.posted &&
-           delivered == o.delivered && drop_loss == o.drop_loss &&
-           drop_partition == o.drop_partition &&
-           drop_overflow == o.drop_overflow &&
-           drop_unroutable == o.drop_unroutable && pending == o.pending &&
-           sent_at == o.sent_at;
+  /// Every field equal, the exports compared byte for byte.
+  ::testing::AssertionResult same_as(const Observation& o) const {
+    if (auto r = same_bytes(metrics_json, o.metrics_json); !r) {
+      return r << " (metrics)";
+    }
+    if (auto r = same_bytes(spans_json, o.spans_json); !r) {
+      return r << " (spans)";
+    }
+    if (trace_hash == o.trace_hash && posted == o.posted &&
+        delivered == o.delivered && drop_loss == o.drop_loss &&
+        drop_partition == o.drop_partition &&
+        drop_overflow == o.drop_overflow &&
+        drop_unroutable == o.drop_unroutable && pending == o.pending &&
+        sent_at == o.sent_at) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "trace hash, counters or capture differ";
   }
 };
 
@@ -199,7 +210,7 @@ TEST(FabricSync, SixteenSeedSweepByteIdenticalAcrossModes) {
       const std::string label = std::string(to_string(kind)) + " seed " +
                                 std::to_string(seed);
       EXPECT_GT(look.delivered, 0u) << label;
-      EXPECT_TRUE(look == epoch) << label;
+      EXPECT_TRUE(look.same_as(epoch)) << label;
       expect_conservation(look, label + " (lookahead)");
       expect_conservation(epoch, label + " (epoch)");
     }
@@ -226,10 +237,12 @@ TEST(FabricSync, RunFabricTreeByteIdenticalAcrossModes) {
 
   EXPECT_GT(look.delivered, 0u);
   EXPECT_EQ(look.trace_hash, epoch.trace_hash);
-  EXPECT_EQ(look.metrics_json, epoch.metrics_json);
-  EXPECT_EQ(look.spans_json, epoch.spans_json);
-  EXPECT_EQ(look.audit_json, epoch.audit_json);
-  EXPECT_EQ(look.health_json, epoch.health_json);
+  const obs::Telemetry& lt = *look.telemetry;
+  const obs::Telemetry& et = *epoch.telemetry;
+  EXPECT_TRUE(same_bytes(lt.metrics.to_json(), et.metrics.to_json()));
+  EXPECT_TRUE(same_bytes(lt.spans.to_json(), et.spans.to_json()));
+  EXPECT_TRUE(same_bytes(lt.audit.to_json(), et.audit.to_json()));
+  EXPECT_TRUE(same_bytes(lt.health.to_json(), et.health.to_json()));
   EXPECT_EQ(look.delivered, epoch.delivered);
   EXPECT_EQ(look.causality_violations, 0u);
   EXPECT_EQ(epoch.causality_violations, 0u);
@@ -383,7 +396,7 @@ TEST(FabricSync, LinkInsertionOrderCannotPerturbTheRun) {
     }
     EXPECT_GT(obs_ab.delivered, 0u);
     EXPECT_GT(obs_ab.drop_loss, 0u);  // the lossy profiles actually fired
-    EXPECT_TRUE(obs_ab == obs_ba);
+    EXPECT_TRUE(obs_ab.same_as(obs_ba));
   }
 }
 
@@ -407,9 +420,9 @@ TEST(FabricSync, TreeBatchesCovPerTierWithTierHistograms) {
   EXPECT_GT(floor_to_building, 0u);
   EXPECT_LT(floor_to_building, r.floor_covs);
   // Both per-tier latency histograms populated in the merged export.
-  EXPECT_NE(r.metrics_json.find("fabric.cov.zone_to_floor_us"),
-            std::string::npos);
-  EXPECT_NE(r.metrics_json.find("fabric.cov.floor_to_building_us"),
+  const std::string metrics = r.telemetry->metrics.to_json();
+  EXPECT_NE(metrics.find("fabric.cov.zone_to_floor_us"), std::string::npos);
+  EXPECT_NE(metrics.find("fabric.cov.floor_to_building_us"),
             std::string::npos);
   EXPECT_EQ(r.causality_violations, 0u);
   EXPECT_EQ(r.topology, "tree");
@@ -453,9 +466,11 @@ TEST(FabricSync, CampusShardsAcrossJobsByteIdentically) {
   EXPECT_GT(seq.delivered, 0u);
   EXPECT_EQ(seq.nodes, 3 + 6 + 12);  // heads + floors + zones
   EXPECT_EQ(seq.trace_hash, par.trace_hash);
-  EXPECT_EQ(seq.metrics_json, par.metrics_json);
-  EXPECT_EQ(seq.spans_json, par.spans_json);
-  EXPECT_EQ(seq.health_json, par.health_json);
+  const obs::Telemetry& st = *seq.telemetry;
+  const obs::Telemetry& pt = *par.telemetry;
+  EXPECT_TRUE(same_bytes(st.metrics.to_json(), pt.metrics.to_json()));
+  EXPECT_TRUE(same_bytes(st.spans.to_json(), pt.spans.to_json()));
+  EXPECT_TRUE(same_bytes(st.health.to_json(), pt.health.to_json()));
   EXPECT_EQ(seq.causality_violations, 0u);
 }
 
