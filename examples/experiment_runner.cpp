@@ -9,7 +9,7 @@
 //
 //   $ ./experiment_runner benign --platform minix
 //   $ ./experiment_runner attack --platform linux --attack kill --root
-//   $ ./experiment_runner matrix [--csv|--md]
+//   $ ./experiment_runner matrix [--csv|--md] [--jobs N]
 //   $ ./experiment_runner fault --platform sel4 --seed 7 [--no-probe]
 //   $ ./experiment_runner fabric --zones 16 --attack spoof-write
 //   $ ./experiment_runner campaign <matrix|sweep|fault|fabric>
@@ -38,7 +38,7 @@ int usage() {
       "usage: experiment_runner benign --platform <minix|sel4|linux>\n"
       "       experiment_runner attack --platform P --attack <kind> "
       "[--root] [--quota] [--acl]\n"
-      "       experiment_runner matrix [--csv|--md]\n"
+      "       experiment_runner matrix [--csv|--md] [--jobs N]\n"
       "       experiment_runner fault --platform P [--seed N] [--no-probe]\n"
       "       experiment_runner fabric [--zones N] [--seed N] "
       "[--attack <none|spoof-write|replay|flood>]\n"
