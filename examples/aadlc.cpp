@@ -1,6 +1,6 @@
 // aadlc — the AADL source-to-source compiler of §IV as a command-line
 // tool: parses a mini-AADL model and emits the ACM kernel table (C), a
-// CAmkES assembly, or a CapDL capability-distribution description.
+// CAmkES assembly, or the CapDL plan the seL4 bootstrap installs for it.
 //
 //   $ ./aadlc <model.aadl> <System.impl> [--acm|--camkes|--capdl]
 //   $ ./aadlc --builtin --acm          # use the paper's Fig. 2 scenario
@@ -12,8 +12,10 @@
 #include "aadl/compile.hpp"
 #include "aadl/parser.hpp"
 #include "aadl/scenario_model.hpp"
+#include "camkes/camkes.hpp"
 
 namespace aadl = mkbas::aadl;
+namespace camkes = mkbas::camkes;
 
 namespace {
 
@@ -74,7 +76,8 @@ int main(int argc, char** argv) {
   } else if (mode == "--camkes") {
     std::fputs(aadl::emit_camkes_assembly(*sys).c_str(), stdout);
   } else if (mode == "--capdl") {
-    std::fputs(aadl::emit_capdl(*sys).c_str(), stdout);
+    std::fputs(camkes::plan(camkes::assembly_of(*sys)).to_text().c_str(),
+               stdout);
   } else {
     return usage();
   }

@@ -5,9 +5,13 @@
 #include <set>
 #include <sstream>
 
+#include "minix/kernel.hpp"
+
 namespace mkbas::aadl {
 
 namespace {
+
+constexpr int kPm = minix::MinixKernel::kPmAcId;
 
 std::string upper_snake(const std::string& s) {
   std::string out;
@@ -225,16 +229,12 @@ minix::AcmPolicy generate_acm(const CompiledSystem& sys,
   }
   bool any_quota = false;
   for (const auto& inst : sys.instances) {
-    if (opts.allow_fork) {
-      acm.allow(inst.ac_id, opts.pm_ac_id, {opts.pm_fork_mtype});
-    }
-    if (opts.allow_exit) {
-      acm.allow(inst.ac_id, opts.pm_ac_id, {opts.pm_exit_mtype});
-    }
-    acm.allow(inst.ac_id, opts.pm_ac_id, {kAckMType});
-    acm.allow(opts.pm_ac_id, inst.ac_id, {kAckMType});
+    acm.allow(inst.ac_id, kPm, {minix::PmProtocol::kFork});
+    acm.allow(inst.ac_id, kPm, {minix::PmProtocol::kExit});
+    acm.allow(inst.ac_id, kPm, {kAckMType});
+    acm.allow(kPm, inst.ac_id, {kAckMType});
     if (!inst.may_kill.empty() || opts.open_kill_syscall) {
-      acm.allow(inst.ac_id, opts.pm_ac_id, {opts.pm_kill_mtype});
+      acm.allow(inst.ac_id, kPm, {minix::PmProtocol::kKill});
     }
     for (const auto& target : inst.may_kill) {
       acm.allow_kill(inst.ac_id, sys.ac_of(target));
@@ -260,7 +260,7 @@ std::string emit_acm_c_source(const CompiledSystem& sys,
     os << "#define AC_" << upper_snake(inst.name) << " " << inst.ac_id
        << "\n";
   }
-  os << "#define AC_PM " << opts.pm_ac_id << "\n\n";
+  os << "#define AC_PM " << kPm << "\n\n";
   os << "const struct acm_entry ACM_TABLE[] = {\n";
   std::size_t rows = 0;
   auto emit_row = [&](const std::string& s, int sa, const std::string& d,
@@ -278,8 +278,8 @@ std::string emit_acm_c_source(const CompiledSystem& sys,
     for (const auto& b : sys.instances) {
       if (a.ac_id != b.ac_id) emit_row(a.name, a.ac_id, b.name, b.ac_id);
     }
-    emit_row(a.name, a.ac_id, "PM", opts.pm_ac_id);
-    emit_row("PM", opts.pm_ac_id, a.name, a.ac_id);
+    emit_row(a.name, a.ac_id, "PM", kPm);
+    emit_row("PM", kPm, a.name, a.ac_id);
   }
   os << "};\n"
      << "const unsigned ACM_TABLE_LEN = " << rows << ";\n\n";
@@ -361,42 +361,6 @@ std::string emit_camkes_assembly(const CompiledSystem& sys) {
        << conn.dst_port << ");\n";
   }
   os << "    }\n}\n";
-  return os.str();
-}
-
-std::string emit_capdl(const CompiledSystem& sys) {
-  std::ostringstream os;
-  os << "-- CapDL capability distribution for system " << sys.name << "\n"
-     << "-- Generated by mkbas-aadlc; machine-checkable against the\n"
-     << "-- bootstrap (cf. formally verified system initialisation [14]).\n\n"
-     << "objects {\n";
-  for (const auto& inst : sys.instances) {
-    os << "    tcb_" << inst.name << " = tcb\n";
-    os << "    cnode_" << inst.name << " = cnode (8 bits)\n";
-  }
-  for (const auto& conn : sys.connections) {
-    os << "    ep_" << conn.name << " = ep\n";
-  }
-  os << "}\n\ncaps {\n";
-  // Slot assignment mirrors camkes::Bootstrap: per instance, slots from 2
-  // upward in connection declaration order (uses first, then provides).
-  for (const auto& inst : sys.instances) {
-    os << "    cnode_" << inst.name << " {\n";
-    int slot = 2;
-    for (const auto& conn : sys.connections) {
-      if (conn.src == inst.name) {
-        os << "        " << slot++ << ": ep_" << conn.name
-           << " (W, G, badge: " << sys.ac_of(inst.name) << ")\n";
-      }
-    }
-    for (const auto& conn : sys.connections) {
-      if (conn.dst == inst.name) {
-        os << "        " << slot++ << ": ep_" << conn.name << " (R)\n";
-      }
-    }
-    os << "    }\n";
-  }
-  os << "}\n";
   return os.str();
 }
 

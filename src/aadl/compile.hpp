@@ -72,11 +72,9 @@ std::vector<Diagnostic> lint(const Model& model, const SystemImpl& sys);
 std::vector<Diagnostic> lint(const Model& model,
                              const std::string& system_full_name);
 
-/// Options for the ACM generator.
+/// Options for the ACM generator. Every process may ask PM to fork and
+/// notify it of exit (the PM protocol of minix::PmProtocol).
 struct AcmGenOptions {
-  int pm_ac_id = 1;
-  bool allow_fork = true;   // every process may ask PM to fork
-  bool allow_exit = true;   // every process may notify PM of exit
   /// Let every process *reach* PM's kill service (as on real MINIX,
   /// where the syscall exists for everyone); whether a given target may
   /// actually be killed is still decided by the per-pair kill matrix
@@ -85,9 +83,6 @@ struct AcmGenOptions {
   /// IPC edge instead of as an audited pm-side ACM decision.
   bool open_kill_syscall = false;
   bool enable_quotas = false;
-  int pm_fork_mtype = 1;    // mirrors minix::PmProtocol
-  int pm_exit_mtype = 3;
-  int pm_kill_mtype = 2;
 };
 
 /// The core of the paper's AADL-to-C compiler: "traverse AADL models,
@@ -107,9 +102,5 @@ std::string emit_acm_c_source(const CompiledSystem& sys,
 /// AADL-to-CAmkES source-to-source compiler, completed here). All
 /// connections use seL4RPCCall as in §IV.B.
 std::string emit_camkes_assembly(const CompiledSystem& sys);
-
-/// Emit a CapDL-style description of the capability distribution the
-/// bootstrap establishes (§III.D).
-std::string emit_capdl(const CompiledSystem& sys);
 
 }  // namespace mkbas::aadl

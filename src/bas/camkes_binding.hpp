@@ -27,6 +27,8 @@ class CamkesBinding {
   CamkesBinding(sim::Machine& machine, const ScenarioSpec& spec, Options opts);
 
   sel4::Sel4Kernel& kernel() { return camkes_->kernel(); }
+  /// The CapDL plan the bootstrap installed.
+  const camkes::CapDlSpec& capdl() const { return camkes_->capdl(); }
   /// The compromised component's runtime, non-null only while attacker
   /// code runs inside it (attack payloads use it).
   camkes::Runtime* attack_runtime() { return attack_runtime_; }

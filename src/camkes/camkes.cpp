@@ -1,5 +1,6 @@
 #include "camkes/camkes.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -16,14 +17,14 @@ sel4::Sel4Error Runtime::rpc_call(const std::string& iface,
                                   sel4::Sel4Msg& inout) {
   const auto it = uses_.find(iface);
   if (it == uses_.end()) return Sel4Error::kEmptySlot;
-  return kernel_->call(it->second.slot, inout);
+  return kernel_->call(it->second, inout);
 }
 
 sel4::Sel4Error Runtime::rpc_send_nb(const std::string& iface,
                                      const sel4::Sel4Msg& msg) {
   const auto it = uses_.find(iface);
   if (it == uses_.end()) return Sel4Error::kEmptySlot;
-  return kernel_->nbsend(it->second.slot, msg);
+  return kernel_->nbsend(it->second, msg);
 }
 
 Runtime::Incoming Runtime::await() {
@@ -38,7 +39,7 @@ Runtime::Incoming Runtime::await() {
     const auto it = serves_.find(rr.badge);
     if (it != serves_.end()) {
       in.iface = it->second.iface;
-      in.from = it->second.peer;
+      in.from = it->second.from;
     }
   }
   return in;
@@ -88,21 +89,142 @@ std::vector<int> Runtime::enumerate_own_caps() {
   return found;
 }
 
-// ---- CapDlSpec ----
+// ---- The CapDL plan ----
+
+namespace {
+
+// The root server's CNode holds its own CNode at slot 0 and the untyped
+// at slot 1; its caps to the objects it creates start here.
+constexpr int kFirstRootSlot = 10;
+// In a component's CNode: a server's receive cap, then its connections.
+constexpr int kServeSlot = 2;
+constexpr int kFirstConnectionSlot = 3;
+
+ConnKind connector_of(aadl::PortKind kind) {
+  switch (kind) {
+    case aadl::PortKind::kEventData:
+      return ConnKind::kRpc;
+    case aadl::PortKind::kEvent:
+      return ConnKind::kEvent;
+    case aadl::PortKind::kData:
+      return ConnKind::kDataport;
+  }
+  return ConnKind::kRpc;
+}
+
+const char* capdl_type(ObjType type) {
+  switch (type) {
+    case ObjType::kEndpoint:
+      return "ep";
+    case ObjType::kNotification:
+      return "notification";
+    case ObjType::kFrame:
+      return "frame (4k)";
+    case ObjType::kTcb:
+      return "tcb";
+    case ObjType::kCNode:
+      return "cnode";
+    case ObjType::kUntyped:
+      return "untyped";
+  }
+  return "?";
+}
+
+}  // namespace
+
+Assembly assembly_of(const aadl::CompiledSystem& sys) {
+  Assembly a;
+  for (const auto& inst : sys.instances) a.components.push_back(inst.name);
+  for (const auto& conn : sys.connections) {
+    a.connections.push_back({conn.name, conn.src, conn.src_port, conn.dst,
+                             conn.dst_port, connector_of(conn.kind)});
+  }
+  return a;
+}
+
+CapDlSpec plan(const Assembly& a) {
+  CapDlSpec s;
+  const int n = static_cast<int>(a.components.size());
+  auto create = [&s](std::string name, ObjType type) {
+    const int index = static_cast<int>(s.objects.size());
+    s.objects.push_back({std::move(name), type, kFirstRootSlot + index});
+    return index;
+  };
+
+  // Creation order: the server endpoints, the notifications and frames,
+  // then each component's thread.
+  std::map<std::string, int> endpoint;  // server component -> object
+  for (const std::string& name : a.components) {
+    const bool server = std::any_of(
+        a.connections.begin(), a.connections.end(), [&](const Connection& k) {
+          return k.kind == ConnKind::kRpc && k.to == name;
+        });
+    if (server) endpoint[name] = create("ep_" + name, ObjType::kEndpoint);
+  }
+  std::vector<int> shared(a.connections.size(), -1);
+  for (std::size_t i = 0; i < a.connections.size(); ++i) {
+    const Connection& conn = a.connections[i];
+    if (conn.kind == ConnKind::kEvent) {
+      shared[i] = create("ntfn_" + conn.name, ObjType::kNotification);
+    } else if (conn.kind == ConnKind::kDataport) {
+      shared[i] = create("frame_" + conn.name, ObjType::kFrame);
+    }
+  }
+  for (const std::string& name : a.components) {
+    const int tcb = create("tcb_" + name, ObjType::kTcb);
+    const int cnode = create("cnode_" + name, ObjType::kCNode);
+    s.threads.push_back({tcb, cnode});
+  }
+
+  for (int c = 0; c < n; ++c) {
+    const std::string& name = a.components[c];
+    if (const auto ep = endpoint.find(name); ep != endpoint.end()) {
+      s.placements.push_back(
+          {c, kServeSlot, ep->second, CapRights::r(), 0, -1});
+    }
+    int slot = kFirstConnectionSlot;
+    for (std::size_t i = 0; i < a.connections.size(); ++i) {
+      const Connection& conn = a.connections[i];
+      const std::uint64_t badge = i + 1;
+      auto place = [&](int object, CapRights rights, std::uint64_t b) {
+        s.placements.push_back(
+            {c, slot++, object, rights, b, static_cast<int>(i)});
+      };
+      if (conn.kind == ConnKind::kRpc) {
+        if (conn.from == name) {
+          place(endpoint.at(conn.to), CapRights::wg(), badge);
+        }
+      } else if (conn.from == name) {
+        // The event's sender signals with its badge; the dataport's
+        // writer maps the frame read-write.
+        if (conn.kind == ConnKind::kEvent) {
+          place(shared[i], CapRights::w(), badge);
+        } else {
+          place(shared[i], CapRights::rw(), 0);
+        }
+      } else if (conn.to == name) {
+        place(shared[i], CapRights::r(), 0);
+      }
+    }
+  }
+  return s;
+}
 
 std::string CapDlSpec::to_text() const {
   std::ostringstream os;
   os << "objects {\n";
-  for (const auto& o : objects) os << "    " << o << "\n";
+  for (const auto& o : objects) {
+    os << "    " << o.name << " = " << capdl_type(o.type) << "\n";
+  }
   os << "}\ncaps {\n";
-  std::string cur;
+  int cur = -1;
   for (const auto& p : placements) {
     if (p.component != cur) {
-      if (!cur.empty()) os << "    }\n";
-      os << "    cnode_" << p.component << " {\n";
+      if (cur >= 0) os << "    }\n";
+      os << "    " << objects[threads[p.component].cnode].name << " {\n";
       cur = p.component;
     }
-    os << "        " << p.slot << ": " << p.object << " (";
+    os << "        " << p.slot << ": " << objects[p.object].name << " (";
     bool first = true;
     auto right = [&](bool have, const char* n) {
       if (!have) return;
@@ -110,13 +232,13 @@ std::string CapDlSpec::to_text() const {
       os << n;
       first = false;
     };
-    right(p.read, "R");
-    right(p.write, "W");
-    right(p.grant, "G");
+    right(p.rights.read, "R");
+    right(p.rights.write, "W");
+    right(p.rights.grant, "G");
     if (p.badge != 0) os << ", badge: " << p.badge;
     os << ")\n";
   }
-  if (!cur.empty()) os << "    }\n";
+  if (cur >= 0) os << "    }\n";
   os << "}\n";
   return os.str();
 }
@@ -129,12 +251,9 @@ CamkesSystem::CamkesSystem(sim::Machine& machine)
 void CamkesSystem::add_component(const std::string& name,
                                  std::function<void(Runtime&)> body,
                                  int priority) {
-  Component c;
-  c.name = name;
-  c.body = std::move(body);
-  c.priority = priority;
-  c.runtime = std::make_shared<Runtime>();
-  components_.push_back(std::move(c));
+  assembly_.components.push_back(name);
+  components_.push_back(
+      Component{std::move(body), priority, std::make_shared<Runtime>()});
 }
 
 void CamkesSystem::connect(const std::string& conn_name,
@@ -142,8 +261,8 @@ void CamkesSystem::connect(const std::string& conn_name,
                            const std::string& from_iface,
                            const std::string& to,
                            const std::string& to_iface) {
-  connections_.push_back(Connection{conn_name, from, from_iface, to,
-                                    to_iface, ConnKind::kRpc, 0, -1});
+  assembly_.connections.push_back(
+      {conn_name, from, from_iface, to, to_iface, ConnKind::kRpc});
 }
 
 void CamkesSystem::connect_event(const std::string& conn_name,
@@ -151,8 +270,8 @@ void CamkesSystem::connect_event(const std::string& conn_name,
                                  const std::string& from_iface,
                                  const std::string& to,
                                  const std::string& to_iface) {
-  connections_.push_back(Connection{conn_name, from, from_iface, to,
-                                    to_iface, ConnKind::kEvent, 0, -1});
+  assembly_.connections.push_back(
+      {conn_name, from, from_iface, to, to_iface, ConnKind::kEvent});
 }
 
 void CamkesSystem::connect_dataport(const std::string& conn_name,
@@ -160,168 +279,76 @@ void CamkesSystem::connect_dataport(const std::string& conn_name,
                                     const std::string& from_iface,
                                     const std::string& to,
                                     const std::string& to_iface) {
-  connections_.push_back(Connection{conn_name, from, from_iface, to,
-                                    to_iface, ConnKind::kDataport, 0, -1});
+  assembly_.connections.push_back(
+      {conn_name, from, from_iface, to, to_iface, ConnKind::kDataport});
 }
 
 void CamkesSystem::load_compiled_system(
     const aadl::CompiledSystem& sys,
     const std::map<std::string, std::function<void(Runtime&)>>& bodies,
     const std::map<std::string, int>& priorities) {
-  for (const auto& inst : sys.instances) {
-    const auto body_it = bodies.find(inst.name);
+  Assembly a = assembly_of(sys);
+  for (const std::string& name : a.components) {
+    const auto body_it = bodies.find(name);
     std::function<void(Runtime&)> body =
         body_it != bodies.end() ? body_it->second : [](Runtime&) {};
-    const auto pr_it = priorities.find(inst.name);
-    add_component(inst.name, std::move(body),
+    const auto pr_it = priorities.find(name);
+    add_component(name, std::move(body),
                   pr_it != priorities.end()
                       ? pr_it->second
                       : sim::Machine::kDefaultPriority);
   }
-  for (const auto& conn : sys.connections) {
-    switch (conn.kind) {
-      case aadl::PortKind::kEventData:
-        connect(conn.name, conn.src, conn.src_port, conn.dst,
-                conn.dst_port);
-        break;
-      case aadl::PortKind::kEvent:
-        connect_event(conn.name, conn.src, conn.src_port, conn.dst,
-                      conn.dst_port);
-        break;
-      case aadl::PortKind::kData:
-        connect_dataport(conn.name, conn.src, conn.src_port, conn.dst,
-                         conn.dst_port);
-        break;
-    }
+  for (Connection& conn : a.connections) {
+    assembly_.connections.push_back(std::move(conn));
   }
 }
 
 void CamkesSystem::instantiate() {
   assert(!instantiated_);
   instantiated_ = true;
-
-  // Assign badges and compute the CapDL spec deterministically up front;
-  // the bootstrap then realises exactly this plan. The slot-assignment
-  // traversal here and in bootstrap() must match exactly — the
-  // verification pass would catch any drift.
-  std::uint64_t next_badge = 1;
-  for (auto& conn : connections_) conn.badge = next_badge++;
-
-  for (auto& comp : components_) {
-    for (const auto& conn : connections_) {
-      if (conn.kind == ConnKind::kRpc && conn.to == comp.name) {
-        comp.is_server = true;
-      }
-    }
-    if (comp.is_server) {
-      capdl_.objects.push_back("ep_" + comp.name + " = ep");
-    }
-    capdl_.objects.push_back("tcb_" + comp.name + " = tcb");
-    capdl_.objects.push_back("cnode_" + comp.name + " = cnode");
-  }
-  for (const auto& conn : connections_) {
-    if (conn.kind == ConnKind::kEvent) {
-      capdl_.objects.push_back("ntfn_" + conn.name + " = notification");
-    } else if (conn.kind == ConnKind::kDataport) {
-      capdl_.objects.push_back("frame_" + conn.name + " = frame (4k)");
-    }
-  }
-  for (auto& comp : components_) {
-    if (comp.is_server) {
-      capdl_.placements.push_back(
-          {comp.name, 2, "ep_" + comp.name, true, false, false, 0});
-    }
-    int next_slot = 3;
-    for (const auto& conn : connections_) {
-      if (conn.kind == ConnKind::kRpc && conn.from == comp.name) {
-        capdl_.placements.push_back({comp.name, next_slot++,
-                                     "ep_" + conn.to, false, true, true,
-                                     conn.badge});
-      } else if (conn.kind == ConnKind::kEvent && conn.from == comp.name) {
-        capdl_.placements.push_back({comp.name, next_slot++,
-                                     "ntfn_" + conn.name, false, true,
-                                     false, conn.badge});
-      } else if (conn.kind == ConnKind::kEvent && conn.to == comp.name) {
-        capdl_.placements.push_back({comp.name, next_slot++,
-                                     "ntfn_" + conn.name, true, false,
-                                     false, 0});
-      } else if (conn.kind == ConnKind::kDataport &&
-                 conn.from == comp.name) {
-        capdl_.placements.push_back({comp.name, next_slot++,
-                                     "frame_" + conn.name, true, true,
-                                     false, 0});
-      } else if (conn.kind == ConnKind::kDataport && conn.to == comp.name) {
-        capdl_.placements.push_back({comp.name, next_slot++,
-                                     "frame_" + conn.name, true, false,
-                                     false, 0});
-      }
-    }
-  }
-
+  capdl_ = plan(assembly_);
   // The bootstrap runs as the seL4 root server at the highest priority so
   // capability distribution completes before any component executes.
   kernel_.boot_root([this] { bootstrap(); }, /*priority=*/0);
 }
 
+sel4::Sel4Error CamkesSystem::create_component_thread(int c) {
+  Runtime* rt = components_[c].runtime.get();
+  auto body = components_[c].body;
+  return kernel_.create_thread(
+      sel4::Sel4Kernel::kRootUntypedSlot, assembly_.components[c],
+      [rt, body] { body(*rt); }, components_[c].priority,
+      capdl_.tcb_slot(c), capdl_.cnode_slot(c));
+}
+
 void CamkesSystem::bootstrap() {
   auto& k = kernel_;
-  int next = 10;
+  const int n = static_cast<int>(components_.size());
 
-  for (auto& comp : components_) {
-    if (comp.is_server) {
-      comp.ep_slot = next++;
-      const Sel4Error r =
-          k.retype(sel4::Sel4Kernel::kRootUntypedSlot, ObjType::kEndpoint,
-                   comp.ep_slot);
-      assert(r == Sel4Error::kOk);
-      (void)r;
-    }
-  }
-  for (auto& conn : connections_) {
-    if (conn.kind == ConnKind::kEvent) {
-      conn.root_slot = next++;
-      const Sel4Error r = k.retype(sel4::Sel4Kernel::kRootUntypedSlot,
-                                   ObjType::kNotification, conn.root_slot);
-      assert(r == Sel4Error::kOk);
-      (void)r;
-    } else if (conn.kind == ConnKind::kDataport) {
-      conn.root_slot = next++;
-      const Sel4Error r = k.retype(sel4::Sel4Kernel::kRootUntypedSlot,
-                                   ObjType::kFrame, conn.root_slot);
-      assert(r == Sel4Error::kOk);
-      (void)r;
-    }
-  }
-  for (auto& comp : components_) {
-    comp.tcb_slot = next++;
-    comp.cnode_slot = next++;
-    Runtime* rt = comp.runtime.get();
-    auto body = comp.body;
-    const Sel4Error r = k.create_thread(
-        sel4::Sel4Kernel::kRootUntypedSlot, comp.name,
-        [rt, body] { body(*rt); }, comp.priority, comp.tcb_slot,
-        comp.cnode_slot);
+  // The plan's endpoints, notifications and frames; create_thread makes
+  // each component's TCB and CNode.
+  for (const auto& o : capdl_.objects) {
+    if (o.type == ObjType::kTcb || o.type == ObjType::kCNode) continue;
+    const Sel4Error r =
+        k.retype(sel4::Sel4Kernel::kRootUntypedSlot, o.type, o.root_slot);
     assert(r == Sel4Error::kOk);
     (void)r;
   }
-
-  for (auto& comp : components_) {
-    install_component_caps(comp);
+  for (int c = 0; c < n; ++c) {
+    const Sel4Error r = create_component_thread(c);
+    assert(r == Sel4Error::kOk);
+    (void)r;
   }
+  for (int c = 0; c < n; ++c) install_component_caps(c);
 
-  // Machine-verify the distribution against the CapDL spec before
+  // Machine-verify the distribution against the CapDL plan before
   // releasing the components (formally verified initialisation, [14]).
   verified_ = true;
   for (const auto& p : capdl_.placements) {
-    const Component* comp = nullptr;
-    for (const auto& c : components_) {
-      if (c.name == p.component) comp = &c;
-    }
     sel4::Sel4Kernel::CapInfo info;
-    if (comp == nullptr ||
-        k.cnode_inspect(comp->cnode_slot, p.slot, info) != Sel4Error::kOk ||
-        !info.present || info.rights.read != p.read ||
-        info.rights.write != p.write || info.rights.grant != p.grant ||
+    if (k.cnode_inspect(capdl_.cnode_slot(p.component), p.slot, info) !=
+            Sel4Error::kOk ||
+        !info.present || info.rights != p.rights ||
         info.badge != p.badge) {
       verified_ = false;
     }
@@ -330,90 +357,67 @@ void CamkesSystem::bootstrap() {
                         verified_ ? "capdl.verified" : "capdl.mismatch",
                         "bootstrap capability distribution check");
 
-  for (auto& comp : components_) {
-    const Sel4Error r = k.tcb_resume(comp.tcb_slot);
+  for (int c = 0; c < n; ++c) {
+    const Sel4Error r = k.tcb_resume(capdl_.tcb_slot(c));
     assert(r == Sel4Error::kOk);
     (void)r;
   }
 
   // Restart-from-spec monitor: the root server keeps running, watching
   // every component's TCB. A dead component is rebuilt in place from the
-  // same deterministic cap-distribution plan the bootstrap used.
+  // plan the bootstrap executed.
   if (restart_enabled_) {
     for (;;) {
       machine_.sleep_for(restart_period_);
-      for (auto& comp : components_) {
-        if (!kernel_.tcb_alive(comp.tcb_slot)) restart_component(comp);
+      for (int c = 0; c < n; ++c) {
+        if (!kernel_.tcb_alive(capdl_.tcb_slot(c))) restart_component(c);
       }
     }
   }
 }
 
-void CamkesSystem::install_component_caps(Component& comp) {
-  auto& k = kernel_;
-  Runtime& rt = *comp.runtime;
-  rt.name_ = comp.name;
-  rt.kernel_ = &kernel_;
-  if (comp.is_server) {
-    const Sel4Error r = k.cnode_copy_into(comp.cnode_slot, comp.ep_slot,
-                                          2, CapRights::r());
+void CamkesSystem::install_component_caps(int c) {
+  for (const auto& p : capdl_.placements) {
+    if (p.component != c) continue;
+    const Sel4Error r = kernel_.cnode_copy_into(
+        capdl_.cnode_slot(c), capdl_.objects[p.object].root_slot, p.slot,
+        p.rights, p.badge);
     assert(r == Sel4Error::kOk);
     (void)r;
-    rt.serve_slot = 2;
   }
-  int next_child_slot = 3;
-  for (const auto& conn : connections_) {
-    if (conn.kind == ConnKind::kRpc && conn.from == comp.name) {
-      Component* target = nullptr;
-      for (auto& c : components_) {
-        if (c.name == conn.to) target = &c;
-      }
-      assert(target != nullptr && target->ep_slot >= 0);
-      const int slot = next_child_slot++;
-      const Sel4Error r =
-          k.cnode_copy_into(comp.cnode_slot, target->ep_slot, slot,
-                            CapRights::wg(), conn.badge);
-      assert(r == Sel4Error::kOk);
-      (void)r;
-      rt.uses_[conn.from_iface] =
-          Runtime::ConnInfo{conn.from_iface, conn.to, conn.badge, slot};
-    } else if (conn.kind == ConnKind::kEvent && conn.from == comp.name) {
-      const int slot = next_child_slot++;
-      const Sel4Error r =
-          k.cnode_copy_into(comp.cnode_slot, conn.root_slot, slot,
-                            CapRights::w(), conn.badge);
-      assert(r == Sel4Error::kOk);
-      (void)r;
-      rt.events_out_[conn.from_iface] = slot;
-    } else if (conn.kind == ConnKind::kEvent && conn.to == comp.name) {
-      const int slot = next_child_slot++;
-      const Sel4Error r = k.cnode_copy_into(comp.cnode_slot,
-                                            conn.root_slot, slot,
-                                            CapRights::r());
-      assert(r == Sel4Error::kOk);
-      (void)r;
-      rt.events_in_[conn.to_iface] = slot;
-    } else if (conn.kind == ConnKind::kDataport &&
-               conn.from == comp.name) {
-      const int slot = next_child_slot++;
-      const Sel4Error r = k.cnode_copy_into(comp.cnode_slot,
-                                            conn.root_slot, slot,
-                                            CapRights::rw());
-      assert(r == Sel4Error::kOk);
-      (void)r;
-      rt.dataports_[conn.from_iface] = slot;
-    } else if (conn.kind == ConnKind::kDataport && conn.to == comp.name) {
-      const int slot = next_child_slot++;
-      const Sel4Error r = k.cnode_copy_into(comp.cnode_slot,
-                                            conn.root_slot, slot,
-                                            CapRights::r());
-      assert(r == Sel4Error::kOk);
-      (void)r;
-      rt.dataports_[conn.to_iface] = slot;
+
+  // The glue's interface maps: each placement's connection names the
+  // interface its slot serves.
+  Runtime& rt = *components_[c].runtime;
+  rt = Runtime{};
+  rt.name_ = assembly_.components[c];
+  rt.kernel_ = &kernel_;
+  for (const auto& p : capdl_.placements) {
+    if (p.connection < 0) {
+      if (p.component == c) rt.serve_slot = p.slot;
+      continue;
     }
-    if (conn.kind == ConnKind::kRpc && conn.to == comp.name) {
-      rt.serves_[conn.badge] =
-          Runtime::ConnInfo{conn.to_iface, conn.from, conn.badge, -1};
+    const Connection& conn = assembly_.connections[p.connection];
+    if (conn.kind == ConnKind::kRpc && conn.to == rt.name_) {
+      // A client's cap to this server: its calls carry the badge.
+      rt.serves_[p.badge] = Runtime::Caller{conn.to_iface, conn.from};
+    }
+    if (p.component != c) continue;
+    const bool from = conn.from == rt.name_;
+    switch (conn.kind) {
+      case ConnKind::kRpc:
+        rt.uses_[conn.from_iface] = p.slot;
+        break;
+      case ConnKind::kEvent:
+        if (from) {
+          rt.events_out_[conn.from_iface] = p.slot;
+        } else {
+          rt.events_in_[conn.to_iface] = p.slot;
+        }
+        break;
+      case ConnKind::kDataport:
+        rt.dataports_[from ? conn.from_iface : conn.to_iface] = p.slot;
+        break;
     }
   }
 }
@@ -424,41 +428,26 @@ void CamkesSystem::enable_restart(sim::Duration check_period) {
   restart_period_ = check_period;
 }
 
-void CamkesSystem::restart_component(Component& comp) {
+void CamkesSystem::restart_component(int c) {
   auto& k = kernel_;
+  const std::string& name = assembly_.components[c];
   machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kProcess,
-                        "camkes.death_noticed", comp.name);
+                        "camkes.death_noticed", name);
   // Drop the root's caps to the dead TCB and CSpace, then rebuild into
-  // the SAME slots so the deterministic cap-distribution walk (and the
-  // Runtime's slot maps) stay valid. The server endpoint object is
+  // the SAME slots from the plan. The server endpoint object is
   // untouched — clients' badged caps keep working across the restart.
-  k.cnode_delete(comp.tcb_slot);
-  k.cnode_delete(comp.cnode_slot);
-  Runtime& rt = *comp.runtime;
-  rt.uses_.clear();
-  rt.serves_.clear();
-  rt.events_out_.clear();
-  rt.events_in_.clear();
-  rt.dataports_.clear();
-  rt.serve_slot = -1;
-  Runtime* rtp = comp.runtime.get();
-  auto body = comp.body;
-  const Sel4Error r = k.create_thread(
-      sel4::Sel4Kernel::kRootUntypedSlot, comp.name,
-      [rtp, body] { body(*rtp); }, comp.priority, comp.tcb_slot,
-      comp.cnode_slot);
-  if (r != Sel4Error::kOk) {
+  k.cnode_delete(capdl_.tcb_slot(c));
+  k.cnode_delete(capdl_.cnode_slot(c));
+  if (create_component_thread(c) != Sel4Error::kOk) {
     machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kProcess,
-                          "camkes.restart_fail", comp.name);
+                          "camkes.restart_fail", name);
     return;
   }
-  install_component_caps(comp);
-  k.tcb_resume(comp.tcb_slot);
+  install_component_caps(c);
+  k.tcb_resume(capdl_.tcb_slot(c));
   ++restarts_;
   machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kProcess,
-                        "camkes.restart", comp.name);
+                        "camkes.restart", name);
 }
-
-bool CamkesSystem::verify_distribution() const { return verified_; }
 
 }  // namespace mkbas::camkes

@@ -70,49 +70,94 @@ class Runtime {
  private:
   friend class CamkesSystem;
 
-  struct ConnInfo {
-    std::string iface;
-    std::string peer;
-    std::uint64_t badge = 0;  // badge the peer's calls carry (server side)
-    int slot = -1;            // slot of the send cap (client side)
+  /// A provides interface and the component whose calls arrive on it.
+  struct Caller {
+    std::string iface, from;
   };
 
   std::string name_;
   sel4::Sel4Kernel* kernel_ = nullptr;
-  int serve_slot = -1;                       // receive cap (servers only)
-  std::map<std::string, ConnInfo> uses_;     // iface -> client info
-  std::map<std::uint64_t, ConnInfo> serves_; // badge -> server info
-  std::map<std::string, int> events_out_;    // emits iface -> slot
-  std::map<std::string, int> events_in_;     // consumes iface -> slot
-  std::map<std::string, int> dataports_;     // dataport iface -> slot
+  int serve_slot = -1;                      // receive cap (servers only)
+  std::map<std::uint64_t, Caller> serves_;  // badge -> caller
+  std::map<std::string, int> uses_;         // uses iface -> send cap slot
+  std::map<std::string, int> events_out_;   // emits iface -> slot
+  std::map<std::string, int> events_in_;    // consumes iface -> slot
+  std::map<std::string, int> dataports_;    // dataport iface -> slot
 };
 
-/// CapDL-style record of the capability distribution the bootstrap will
-/// establish; attackers in §IV.D.3 are assumed to know this file, and
-/// tests verify the live system matches it.
-struct CapDlSpec {
-  struct Placement {
-    std::string component;
-    int slot;
-    std::string object;  // "ep_<connection>"
-    bool read = false, write = false, grant = false;
-    std::uint64_t badge = 0;
-  };
-  std::vector<std::string> objects;
-  std::vector<Placement> placements;
+/// One connection of an assembly: `from.from_iface` (uses / emits /
+/// writes) to `to.to_iface` (provides / consumes / reads).
+struct Connection {
+  std::string name;
+  std::string from, from_iface;
+  std::string to, to_iface;
+  ConnKind kind = ConnKind::kRpc;
+};
 
+/// What a CAmkES assembly declares: component instances and the
+/// connections between them, in declaration order.
+struct Assembly {
+  std::vector<std::string> components;
+  std::vector<Connection> connections;
+};
+
+/// The AADL-to-CAmkES mapping (§IV.B): one component per process
+/// instance; `event data` ports become RPC connections, `event` ports
+/// notifications, `data` ports dataports.
+Assembly assembly_of(const aadl::CompiledSystem& sys);
+
+/// The CapDL plan: every kernel object the bootstrap creates and every
+/// capability it installs. The bootstrap executes exactly this plan,
+/// verifies the live CSpaces against it and restarts dead components from
+/// it; attackers in §IV.D.3 are assumed to know it.
+struct CapDlSpec {
+  /// A kernel object: ep_<server>, ntfn_/frame_<connection> or
+  /// tcb_/cnode_<component>.
+  struct Object {
+    std::string name;
+    sel4::ObjType type;
+    int root_slot;  // the bootstrap's full-rights cap to it
+  };
+  /// A component's thread: its TCB and CNode, as indices in `objects`.
+  struct Thread {
+    int tcb, cnode;
+  };
+  /// One capability in one component's CNode.
+  struct Placement {
+    int component;  // index in the assembly's components
+    int slot;
+    int object;     // index in `objects`
+    sel4::CapRights rights;
+    std::uint64_t badge = 0;
+    int connection = -1;  // the one it realises; -1: a server's receive cap
+  };
+  std::vector<Object> objects;        // in creation order
+  std::vector<Thread> threads;        // one per component
+  std::vector<Placement> placements;  // component by component
+
+  int tcb_slot(int component) const {
+    return objects[threads[component].tcb].root_slot;
+  }
+  int cnode_slot(int component) const {
+    return objects[threads[component].cnode].root_slot;
+  }
   std::string to_text() const;
 };
+
+/// Plan an assembly: one endpoint per server component, shared by all of
+/// its provided interfaces, with its receive cap at slot 2; each client
+/// connection a write+grant cap to it, badged with the connection's
+/// 1-based position, from slot 3; a notification or frame per event or
+/// dataport connection. Pure: no machine, no kernel.
+CapDlSpec plan(const Assembly& assembly);
 
 /// A CAmkES assembly: components plus seL4RPCCall connections, executed on
 /// the seL4 personality via a generated bootstrap process.
 ///
-/// Implementation strategy: one endpoint per server component shared by
-/// all of its provided interfaces; each client connection gets a badged
-/// (write+grant) capability to that endpoint, so the server demultiplexes
-/// by badge. The bootstrap (the moral equivalent of the CapDL-generated
-/// initialiser [13,14]) retypes all objects, installs exactly the caps in
-/// the CapDlSpec, and resumes the components.
+/// Servers demultiplex their clients by badge (see plan()). The bootstrap
+/// (the moral equivalent of the CapDL-generated initialiser [13,14])
+/// creates the plan's objects, installs exactly its caps, verifies them,
+/// and resumes the components.
 class CamkesSystem {
  public:
   explicit CamkesSystem(sim::Machine& machine);
@@ -154,14 +199,14 @@ class CamkesSystem {
       const std::map<std::string, std::function<void(Runtime&)>>& bodies,
       const std::map<std::string, int>& priorities = {});
 
-  /// Build the CapDL spec and run the bootstrap. Components start running.
+  /// Plan the assembly and run the bootstrap. Components start running.
   void instantiate();
 
   /// Restart-from-spec (the CAmkES equivalent of MINIX's reincarnation
   /// server, CompartOS-style compartment recovery): after instantiate()
   /// the root server stays alive, polls every component's TCB each
   /// `check_period`, and rebuilds dead ones — same slots, same CSpace
-  /// contents, re-derived from the CapDL spec. Must be called BEFORE
+  /// contents, reinstalled from the CapDL plan. Must be called BEFORE
   /// instantiate(). Server endpoints survive the restart, so client caps
   /// (and their badges) remain valid; the reborn component gets exactly
   /// its original authority, nothing more.
@@ -174,40 +219,29 @@ class CamkesSystem {
   sim::Machine& machine() { return machine_; }
 
   /// Post-boot check that every component's CSpace holds exactly the caps
-  /// the CapDL spec names (formally verified initialisation, modelled).
-  bool verify_distribution() const;
+  /// the CapDL plan names (formally verified initialisation, modelled).
+  bool verify_distribution() const { return verified_; }
 
  private:
+  /// What the assembly leaves out: how to run each component.
   struct Component {
-    std::string name;
     std::function<void(Runtime&)> body;
     int priority;
     std::shared_ptr<Runtime> runtime;
-    int tcb_slot = -1;    // in the root server's CSpace
-    int cnode_slot = -1;
-    int ep_slot = -1;     // root's cap to this component's endpoint
-    bool is_server = false;
-  };
-  struct Connection {
-    std::string name;
-    std::string from, from_iface;
-    std::string to, to_iface;
-    ConnKind kind = ConnKind::kRpc;
-    std::uint64_t badge = 0;
-    int root_slot = -1;  // where the backing object's cap lives in root
   };
 
+  sel4::Sel4Error create_component_thread(int c);
   void bootstrap();  // runs inside the seL4 root server
-  /// Populate one component's CSpace (and its Runtime slot maps) from the
-  /// connection list — shared by the initial bootstrap and restarts.
-  void install_component_caps(Component& comp);
+  /// Install component `c`'s placements and point its Runtime at them —
+  /// shared by the initial bootstrap and restarts.
+  void install_component_caps(int c);
   /// Tear down and re-create a dead component in its original slots.
-  void restart_component(Component& comp);
+  void restart_component(int c);
 
   sim::Machine& machine_;
   sel4::Sel4Kernel kernel_;
-  std::vector<Component> components_;
-  std::vector<Connection> connections_;
+  Assembly assembly_;
+  std::vector<Component> components_;  // parallel to assembly_.components
   CapDlSpec capdl_;
   bool instantiated_ = false;
   bool verified_ = false;

@@ -81,22 +81,22 @@ Sel4Kernel::Sel4Kernel(sim::Machine& machine) : machine_(machine) {
 
 void Sel4Kernel::trace_sec(const std::string& what,
                            const std::string& detail) {
+  sim::Process* p = machine_.current();
+  machine_.trace().emit(machine_.now(), p ? p->pid() : -1,
+                        sim::TraceKind::kSecurity, what, detail);
+}
+
+void Sel4Kernel::deny(const std::string& what, const std::string& detail) {
   // Single emission point for capability denials: the counter stays in
   // exact agreement with the trace tag counts.
-  const bool deny = what.find("deny") != std::string::npos;
-  if (deny) {
-    met_.cap_denied.inc();
-    denial_sig_.count(machine_.now());
-  }
+  met_.cap_denied.inc();
+  denial_sig_.count(machine_.now());
+  trace_sec(what, detail);
   sim::Process* p = machine_.current();
   const int pid = p ? p->pid() : -1;
-  machine_.trace().emit(machine_.now(), pid, sim::TraceKind::kSecurity, what,
-                        detail);
-  if (deny) {
-    machine_.audit().record(machine_.now(), machine_.machine_id(), pid, what,
-                            detail, machine_.spans(),
-                            machine_.spans().current(pid));
-  }
+  machine_.audit().record(machine_.now(), machine_.machine_id(), pid, what,
+                          detail, machine_.spans(),
+                          machine_.spans().current(pid));
 }
 
 // ---- Object management ----
@@ -556,7 +556,7 @@ void Sel4Kernel::transfer_cap_if_any(TcbObj& sender, TcbObj& receiver,
                                      const Sel4Msg& msg, bool can_grant) {
   if (msg.transfer_cap_slot < 0) return;
   if (!can_grant) {
-    trace_sec("cap.transfer_deny", sender.name + ": no grant right");
+    deny("cap.transfer_deny", sender.name + ": no grant right");
     return;
   }
   if (receiver.receive_slot < 0) {
@@ -629,12 +629,12 @@ Sel4Error Sel4Kernel::do_send(Slot ep_slot, const Sel4Msg& msg, bool blocking,
   Capability* cap = resolve(ep_slot, ObjType::kEndpoint, err);
   if (cap == nullptr) return err;
   if (!cap->rights.write) {
-    trace_sec("cap.deny", current_tcb().name + ": send without write");
+    deny("cap.deny", current_tcb().name + ": send without write");
     return Sel4Error::kNoRights;
   }
   if (is_call && !cap->rights.grant) {
     // seL4_Call needs grant to attach the one-time reply capability.
-    trace_sec("cap.deny", current_tcb().name + ": call without grant");
+    deny("cap.deny", current_tcb().name + ": call without grant");
     return Sel4Error::kNoRights;
   }
   if (msg.mrs.size() > Sel4Msg::kMaxMrs) return Sel4Error::kTruncated;
@@ -727,7 +727,7 @@ RecvResult Sel4Kernel::do_recv(Slot ep_slot, Sel4Msg& out, bool blocking) {
   Capability* cap = resolve(ep_slot, ObjType::kEndpoint, err);
   if (cap == nullptr) return {err, 0};
   if (!cap->rights.read) {
-    trace_sec("cap.deny", current_tcb().name + ": recv without read");
+    deny("cap.deny", current_tcb().name + ": recv without read");
     return {Sel4Error::kNoRights, 0};
   }
   const int ep_id = cap->object;
@@ -912,7 +912,7 @@ Sel4Error Sel4Kernel::frame_write(Slot frame_slot, std::size_t offset,
   Capability* cap = resolve(frame_slot, ObjType::kFrame, err);
   if (cap == nullptr) return err;
   if (!cap->rights.write) {
-    trace_sec("cap.deny", current_tcb().name + ": frame write without W");
+    deny("cap.deny", current_tcb().name + ": frame write without W");
     return Sel4Error::kNoRights;
   }
   auto& frame = std::get<FrameObj>(obj(cap->object).payload);
@@ -931,7 +931,7 @@ Sel4Error Sel4Kernel::frame_read(Slot frame_slot, std::size_t offset,
   Capability* cap = resolve(frame_slot, ObjType::kFrame, err);
   if (cap == nullptr) return err;
   if (!cap->rights.read) {
-    trace_sec("cap.deny", current_tcb().name + ": frame read without R");
+    deny("cap.deny", current_tcb().name + ": frame read without R");
     return Sel4Error::kNoRights;
   }
   auto& frame = std::get<FrameObj>(obj(cap->object).payload);

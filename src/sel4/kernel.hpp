@@ -272,7 +272,11 @@ class Sel4Kernel {
                     bool is_call);
   RecvResult do_recv(Slot ep_slot, Sel4Msg& out, bool blocking);
   void on_thread_gone(int tcb_id);
+  /// A security event on the trace only.
   void trace_sec(const std::string& what, const std::string& detail);
+  /// A capability denial: counted, fed to the denial-rate signal, traced
+  /// and audited.
+  void deny(const std::string& what, const std::string& detail);
 
   /// Capability topology changed: invalidate every cached path resolution.
   void touch_caps() { ++cap_epoch_; }

@@ -43,6 +43,7 @@ struct CapRights {
   bool subset_of(CapRights o) const {
     return (!read || o.read) && (!write || o.write) && (!grant || o.grant);
   }
+  bool operator==(const CapRights&) const = default;
 };
 
 /// A capability: an unforgeable token referencing a kernel object with a

@@ -334,16 +334,6 @@ end S.impl;
   EXPECT_NE(cam.find("dataport Buf dpOut;"), std::string::npos);
 }
 
-TEST(Compile, CapdlEmitterDistributesEndpointCaps) {
-  auto sys = compile_scenario();
-  ASSERT_TRUE(sys.has_value());
-  const std::string capdl = aadl::emit_capdl(*sys);
-  EXPECT_NE(capdl.find("ep_c_setpoint = ep"), std::string::npos);
-  EXPECT_NE(capdl.find("cnode_webInterface"), std::string::npos);
-  // The web interface sends with grant and its badge (ac_id 104).
-  EXPECT_NE(capdl.find("(W, G, badge: 104)"), std::string::npos);
-}
-
 TEST(Compile, LintFlagsUnconnectedPorts) {
   auto model = parse_ok(R"(
 process A

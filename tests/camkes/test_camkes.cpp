@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "aadl/parser.hpp"
 #include "aadl/scenario_model.hpp"
+#include "bas/bsl3_scenario.hpp"
+#include "bas/temp_scenario.hpp"
 
+namespace bas = mkbas::bas;
 namespace camkes = mkbas::camkes;
 namespace sel4 = mkbas::sel4;
 namespace sim = mkbas::sim;
@@ -14,6 +19,23 @@ using camkes::CamkesSystem;
 using camkes::Runtime;
 using sel4::Sel4Error;
 using sel4::Sel4Msg;
+
+namespace {
+
+/// What `aadlc <model> <system> --capdl` prints.
+std::string printed_plan(const char* source, const char* system) {
+  return camkes::plan(camkes::assembly_of(bas::compile_model(source, system)))
+      .to_text();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+}  // namespace
 
 TEST(Camkes, RpcCallRoundTrip) {
   sim::Machine m;
@@ -262,4 +284,106 @@ TEST(Camkes, RpcSendNbDropsWhenServerBusy) {
   sys.instantiate();
   m.run_until(sim::sec(1));
   EXPECT_EQ(r, Sel4Error::kNotReady);
+}
+
+TEST(Camkes, PrintedPlanIsTheOneBsl3Installs) {
+  const std::string printed = printed_plan(aadl::bsl3_aadl(), "Bsl3.impl");
+  sim::Machine m;
+  bas::Bsl3Sel4Scenario sc(m);
+  m.run_until(sim::sec(1));
+  EXPECT_EQ(m.trace().count_tag("capdl.verified"), 1u);
+  EXPECT_EQ(m.trace().count_tag("capdl.mismatch"), 0u);
+  EXPECT_EQ(printed, sc.capdl().to_text());
+}
+
+TEST(Camkes, PrintedTempPlanIsInstalledBesideTheTimerPair) {
+  const auto printed =
+      lines_of(printed_plan(aadl::temp_control_aadl(), "TempControl.impl"));
+  sim::Machine m;
+  bas::Sel4Scenario sc(m);
+  m.run_until(sim::sec(1));
+  EXPECT_EQ(m.trace().count_tag("capdl.verified"), 1u);
+  EXPECT_EQ(m.trace().count_tag("capdl.mismatch"), 0u);
+  // Every printed line appears, in order, in the installed plan; what is
+  // left over is the §IV.B demonstration timer pair.
+  std::size_t matched = 0;
+  std::vector<std::string> extra;
+  for (const auto& line : lines_of(sc.capdl().to_text())) {
+    if (matched < printed.size() && line == printed[matched]) {
+      ++matched;
+    } else {
+      extra.push_back(line);
+    }
+  }
+  EXPECT_EQ(matched, printed.size());
+  EXPECT_EQ(extra, (std::vector<std::string>{
+                       "    ntfn_c_timer = notification",
+                       "    tcb_timerA = tcb",
+                       "    cnode_timerA = cnode",
+                       "    tcb_timerB = tcb",
+                       "    cnode_timerB = cnode",
+                       "    cnode_timerA {",
+                       "        3: ntfn_c_timer (W, badge: 6)",
+                       "    }",
+                       "    cnode_timerB {",
+                       "        3: ntfn_c_timer (R)",
+                       "    }",
+                   }));
+}
+
+TEST(Camkes, RestartReinstallsExactlyThePlan) {
+  sim::Machine m;
+  CamkesSystem sys(m);
+  std::vector<std::uint64_t> badges;
+  std::vector<std::vector<int>> recordings;
+  int events = 0;
+  sys.add_component("server", [&](Runtime& rt) {
+    int serve_slot = -1;
+    for (const auto& p : sys.capdl().placements) {
+      if (p.connection < 0) serve_slot = p.slot;  // the only receive cap
+    }
+    for (;;) {
+      Sel4Msg msg;
+      const auto rr = rt.kernel().recv(serve_slot, msg);
+      if (rr.status != Sel4Error::kOk) return;
+      badges.push_back(rr.badge);
+      rt.reply(Sel4Msg{});
+    }
+  });
+  sys.add_component("peer", [&](Runtime& rt) {
+    while (rt.wait_event("doneIn") == Sel4Error::kOk) ++events;
+  });
+  // Records its CSpace, uses both connections, and returns: the monitor
+  // rebuilds it from the plan on its next poll.
+  sys.add_component("client", [&](Runtime& rt) {
+    recordings.push_back(rt.enumerate_own_caps());
+    Sel4Msg msg;
+    rt.rpc_call("x", msg);
+    rt.emit("done");
+  });
+  sys.connect("c1", "peer", "p", "server", "serveP");
+  sys.connect("c2", "client", "x", "server", "serveX");
+  sys.connect_event("c3", "client", "done", "peer", "doneIn");
+  sys.enable_restart(sim::msec(100));
+  sys.instantiate();
+  m.run_until(sim::sec(1));
+
+  // The client is the third component; its RPC is the second connection.
+  constexpr int kClient = 2, kClientRpc = 1;
+  std::vector<int> planned_slots;
+  std::uint64_t planned_badge = 0;
+  for (const auto& p : sys.capdl().placements) {
+    if (p.component != kClient) continue;
+    planned_slots.push_back(p.slot);
+    if (p.connection == kClientRpc) planned_badge = p.badge;
+  }
+  EXPECT_EQ(planned_slots, (std::vector<int>{3, 4}));
+  EXPECT_EQ(planned_badge, 2u);
+  EXPECT_GE(sys.restarts(), 2);
+  ASSERT_EQ(recordings.size(), static_cast<std::size_t>(sys.restarts()) + 1);
+  for (const auto& caps : recordings) EXPECT_EQ(caps, planned_slots);
+  EXPECT_EQ(badges,
+            std::vector<std::uint64_t>(recordings.size(), planned_badge));
+  EXPECT_EQ(events, static_cast<int>(recordings.size()));
+  EXPECT_TRUE(sys.verify_distribution());
 }
