@@ -1,6 +1,6 @@
 // L — the zero-alloc hot loop. One JSON artifact (BENCH_hotloop.json).
 //
-// Two arms:
+// Three arms:
 //
 //   pingpong — the MINIX sendrec round-trip with the full observability
 //       stack on (flow spans, ring-mode trace, IPC latency histogram),
@@ -20,7 +20,18 @@
 //       single-sub-step fast path and the large-dt sub-step path);
 //       the timing passes report rooms stepped per second each way.
 //
+//   switch — one round trip (driver -> fiber -> driver) through
+//       sim::fiber_switch, against the same round trip through glibc's
+//       swapcontext on the same stack in the same process. swapcontext
+//       is what sim::fiber_switch used before the hand-written switch,
+//       and it saves and restores the signal mask with a system call on
+//       every switch; it is kept here only as the reference. The gate
+//       is the in-process ratio, so it holds on any host.
+//
 // The last stdout line is the JSON summary.
+#include <ucontext.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -258,6 +269,87 @@ BankResult run_roombank(std::size_t rooms, int ticks) {
   return r;
 }
 
+// ---- switch: sim::fiber_switch against swapcontext ----
+
+struct SwitchPair {
+  sim::FiberContext driver, fiber;
+  bool stop = false;
+};
+
+void switch_entry(unsigned hi, unsigned lo) {
+  auto* pair = reinterpret_cast<SwitchPair*>(
+      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+  sim::fiber_on_entry(pair->fiber);
+  while (!pair->stop) sim::fiber_switch(pair->fiber, pair->driver);
+  sim::fiber_switch_final(pair->fiber, pair->driver);
+}
+
+double ns_per_trip(std::chrono::steady_clock::time_point t0, int trips) {
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / trips;
+}
+
+double time_fiber_switch(void* stack, std::size_t size, int trips) {
+  SwitchPair pair;
+  sim::fiber_bind_native(pair.driver);
+  sim::fiber_create(pair.fiber, stack, size, switch_entry, &pair);
+  sim::fiber_switch(pair.driver, pair.fiber);  // first entry, untimed
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < trips; ++i) sim::fiber_switch(pair.driver, pair.fiber);
+  const double ns = ns_per_trip(t0, trips);
+  pair.stop = true;
+  sim::fiber_switch(pair.driver, pair.fiber);
+  sim::fiber_destroy(pair.fiber);
+  return ns;
+}
+
+ucontext_t g_uc_driver, g_uc_fiber;
+bool g_uc_stop = false;
+
+void uc_entry() {
+  while (!g_uc_stop) swapcontext(&g_uc_fiber, &g_uc_driver);
+}  // returns through uc_link to the driver
+
+double time_swapcontext(void* stack, std::size_t size, int trips) {
+  g_uc_stop = false;
+  if (getcontext(&g_uc_fiber) != 0) std::abort();
+  g_uc_fiber.uc_stack.ss_sp = stack;
+  g_uc_fiber.uc_stack.ss_size = size;
+  g_uc_fiber.uc_link = &g_uc_driver;
+  makecontext(&g_uc_fiber, uc_entry, 0);
+  swapcontext(&g_uc_driver, &g_uc_fiber);  // first entry, untimed
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < trips; ++i) swapcontext(&g_uc_driver, &g_uc_fiber);
+  const double ns = ns_per_trip(t0, trips);
+  g_uc_stop = true;
+  swapcontext(&g_uc_driver, &g_uc_fiber);
+  return ns;
+}
+
+struct SwitchResult {
+  double switch_ns = 0;       // per round trip, best of reps
+  double swapcontext_ns = 0;  // likewise
+  double speedup() const {
+    return switch_ns > 0 ? swapcontext_ns / switch_ns : 0;
+  }
+};
+
+// The arms alternate on one stack; each keeps its fastest repetition.
+SwitchResult run_switch(int reps) {
+  constexpr int kTrips = 200000;
+  sim::FiberStackPool stacks;
+  void* stack = stacks.acquire();
+  SwitchResult r;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double fiber = time_fiber_switch(stack, stacks.usable(), kTrips);
+    const double uc = time_swapcontext(stack, stacks.usable(), kTrips);
+    if (rep == 0 || fiber < r.switch_ns) r.switch_ns = fiber;
+    if (rep == 0 || uc < r.swapcontext_ns) r.swapcontext_ns = uc;
+  }
+  stacks.release(stack);
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -286,6 +378,7 @@ int main(int argc, char** argv) {
     if (p.steady_allocs > worst_allocs) worst_allocs = p.steady_allocs;
   }
   const BankResult bank = run_roombank(rooms, 64);
+  const SwitchResult sw = run_switch(std::max(reps, 1));
 
   std::printf("pingpong: %llu msgs in %.3f s -> %.0f msg/s, "
               "%llu allocs / %llu frees in steady window (worst %llu)\n",
@@ -302,6 +395,9 @@ int main(int argc, char** argv) {
               bank.scalar_rooms_per_sec / 1e6, bank.bank_rooms_per_sec / 1e6,
               bank.speedup(),
               static_cast<unsigned long long>(bank.steady_allocs));
+  std::printf("switch: sim::fiber_switch %.1f ns per round trip, "
+              "swapcontext %.1f ns (%.2fx)\n",
+              sw.switch_ns, sw.swapcontext_ns, sw.speedup());
 
   char json[1024];
   std::snprintf(
@@ -312,7 +408,8 @@ int main(int argc, char** argv) {
       "\"msgs\":%llu,\"msgs_per_sec\":%.1f,"
       "\"scalar_rooms_per_sec\":%.1f,\"schema_version\":1,"
       "\"steady_allocs\":%llu,\"steady_frees\":%llu,"
-      "\"worst_steady_allocs\":%llu}",
+      "\"swapcontext_ns\":%.1f,\"switch_ns\":%.1f,"
+      "\"switch_speedup\":%.2f,\"worst_steady_allocs\":%llu}",
       bank.equal ? "true" : "false",
       static_cast<unsigned long long>(bank.rooms), bank.bank_rooms_per_sec,
       bank.speedup(),
@@ -320,8 +417,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(best.msgs), best.msgs_per_sec(),
       bank.scalar_rooms_per_sec,
       static_cast<unsigned long long>(best.steady_allocs),
-      static_cast<unsigned long long>(best.steady_frees),
-      static_cast<unsigned long long>(worst_allocs));
+      static_cast<unsigned long long>(best.steady_frees), sw.swapcontext_ns,
+      sw.switch_ns, sw.speedup(), static_cast<unsigned long long>(worst_allocs));
   if (!out.empty()) {
     std::ofstream f(out);
     f << json << "\n";

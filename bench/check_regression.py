@@ -50,6 +50,14 @@ bench_hotloop (BENCH_hotloop.json):
                              bit-for-bit and step without allocating.
   * bank_speedup          -- the batched step must not be slower than the
                              scalar loop it replaces (>= 1.0 within-run).
+  * switch_speedup        -- a round trip through sim::fiber_switch must
+                             be at least 5x faster than the same round
+                             trip through glibc swapcontext on the same
+                             stack in the same run (swapcontext_ns /
+                             switch_ns). In-process, so it holds on any
+                             host; swapcontext pays a signal-mask syscall
+                             per switch that the hand-written switch
+                             does not.
 
 bench_serve (BENCH_serve.json):
 
@@ -163,6 +171,12 @@ NET_CITY_MIN_FACTOR = 50.0
 # never quietly lower the bar.
 HOTLOOP_PRE_REWORK_MSGS_PER_SEC = 46771.0
 HOTLOOP_MIN_FACTOR = 2.0
+
+# Fiber switch floor: sim::fiber_switch against swapcontext, same stack,
+# same process. About 18 ns against 337 ns per switch on a 4-core Xeon
+# VM, so 5x leaves room for noise and still catches a switch that makes
+# a system call.
+HOTLOOP_MIN_SWITCH_SPEEDUP = 5.0
 
 # Cache-hit floor: a served bundle is a map lookup plus one loopback
 # round trip; 1,000/s leaves two orders of magnitude of headroom on any
@@ -385,6 +399,16 @@ def check_hotloop(base: dict, cur: dict, max_drop: float) -> list:
         failures.append(
             f"RoomBank step is slower than the scalar loop "
             f"({speedup:.3f}x)")
+    speedup = float(cur.get("switch_speedup", 0.0))
+    verdict = "FAIL" if speedup < HOTLOOP_MIN_SWITCH_SPEEDUP else "ok"
+    print(f"switch_speedup: {speedup:.2f}x vs swapcontext (within-run: "
+          f"{float(cur.get('switch_ns', 0.0)):.1f} vs "
+          f"{float(cur.get('swapcontext_ns', 0.0)):.1f} ns per round trip, "
+          f"floor {HOTLOOP_MIN_SWITCH_SPEEDUP:.0f}x) [{verdict}]")
+    if speedup < HOTLOOP_MIN_SWITCH_SPEEDUP:
+        failures.append(
+            f"sim::fiber_switch is only {speedup:.2f}x faster than "
+            f"swapcontext (floor {HOTLOOP_MIN_SWITCH_SPEEDUP:.0f}x)")
     return failures
 
 

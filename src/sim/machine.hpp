@@ -77,11 +77,12 @@ enum class ProcState {
 
 const char* to_string(ProcState s);
 
-/// A simulated process. Its body runs on a user-level fiber (ucontext with
-/// a pooled, guard-paged stack); the Machine switches exactly one fiber in
-/// at a time, so the interleaving is deterministic and a context switch is
-/// a couple hundred nanoseconds of register shuffling instead of an OS
-/// futex round-trip.
+/// A simulated process. Its body runs on a user-level fiber with a pooled,
+/// guard-paged stack (sim/fiber.hpp); the Machine switches exactly one
+/// fiber in at a time, so the interleaving is deterministic and a context
+/// switch is a user-space register swap with no system call (on x86-64;
+/// other targets use ucontext, which makes one), not an OS futex round
+/// trip.
 ///
 /// Personalities (MINIX / seL4 / Linux kernels) attach their own PCB data
 /// keyed by pid and register exit hooks for cleanup.
@@ -296,6 +297,9 @@ class Machine {
   Rng& rng() { return rng_; }
   std::uint64_t context_switches() const { return context_switches_; }
   std::uint64_t kernel_entries() const { return kernel_entries_; }
+  /// Where process stacks come from; a retired process's stack goes back
+  /// to it and the next spawn reuses it.
+  const FiberStackPool& stack_pool() const { return stack_pool_; }
 
   /// Virtual CPU cost charged on every kernel entry (default 1us).
   void set_syscall_cost(Duration d) { syscall_cost_ = d; }
