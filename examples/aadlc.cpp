@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   if (mode == "--acm") {
     std::fputs(aadl::emit_acm_c_source(*sys).c_str(), stdout);
   } else if (mode == "--camkes") {
-    std::fputs(aadl::emit_camkes_assembly(*sys).c_str(), stdout);
+    std::fputs(camkes::assembly_text(*sys).c_str(), stdout);
   } else if (mode == "--capdl") {
     std::fputs(camkes::plan(camkes::assembly_of(*sys)).to_text().c_str(),
                stdout);

@@ -298,70 +298,4 @@ std::string emit_acm_c_source(const CompiledSystem& sys,
   return os.str();
 }
 
-std::string emit_camkes_assembly(const CompiledSystem& sys) {
-  std::ostringstream os;
-  os << "/* CAmkES assembly for system " << sys.name << ".\n"
-     << " * Generated by mkbas-aadlc (AADL -> CAmkES). */\n\n"
-     << "import <std_connector.camkes>;\n\n";
-
-  // One component definition per instance. Port kinds map to CAmkES
-  // feature kinds: event data -> uses/provides (RPC), event ->
-  // emits/consumes, data -> dataport.
-  std::map<std::string, std::vector<std::string>> uses, provides, emits,
-      consumes, dataports;
-  for (const auto& conn : sys.connections) {
-    switch (conn.kind) {
-      case PortKind::kEventData:
-        uses[conn.src].push_back(conn.src_port);
-        provides[conn.dst].push_back(conn.dst_port);
-        break;
-      case PortKind::kEvent:
-        emits[conn.src].push_back(conn.src_port);
-        consumes[conn.dst].push_back(conn.dst_port);
-        break;
-      case PortKind::kData:
-        dataports[conn.src].push_back(conn.src_port);
-        dataports[conn.dst].push_back(conn.dst_port);
-        break;
-    }
-  }
-  for (const auto& inst : sys.instances) {
-    os << "component " << inst.impl_name.substr(0, inst.impl_name.find('.'))
-       << " {\n    control;\n";
-    for (const auto& p : uses[inst.name]) {
-      os << "    uses MkbasIface " << p << ";\n";
-    }
-    for (const auto& p : provides[inst.name]) {
-      os << "    provides MkbasIface " << p << ";\n";
-    }
-    for (const auto& p : emits[inst.name]) {
-      os << "    emits MkbasEvent " << p << ";\n";
-    }
-    for (const auto& p : consumes[inst.name]) {
-      os << "    consumes MkbasEvent " << p << ";\n";
-    }
-    for (const auto& p : dataports[inst.name]) {
-      os << "    dataport Buf " << p << ";\n";
-    }
-    os << "}\n\n";
-  }
-
-  os << "assembly {\n    composition {\n";
-  for (const auto& inst : sys.instances) {
-    os << "        component "
-       << inst.impl_name.substr(0, inst.impl_name.find('.')) << " "
-       << inst.name << ";\n";
-  }
-  for (const auto& conn : sys.connections) {
-    const char* connector = "seL4RPCCall";
-    if (conn.kind == PortKind::kEvent) connector = "seL4Notification";
-    if (conn.kind == PortKind::kData) connector = "seL4SharedData";
-    os << "        connection " << connector << " " << conn.name << "(from "
-       << conn.src << "." << conn.src_port << ", to " << conn.dst << "."
-       << conn.dst_port << ");\n";
-  }
-  os << "    }\n}\n";
-  return os.str();
-}
-
 }  // namespace mkbas::aadl

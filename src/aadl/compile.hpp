@@ -98,9 +98,4 @@ minix::AcmPolicy generate_acm(const CompiledSystem& sys,
 std::string emit_acm_c_source(const CompiledSystem& sys,
                               const AcmGenOptions& opts = {});
 
-/// Emit a CAmkES assembly description (the paper's in-progress
-/// AADL-to-CAmkES source-to-source compiler, completed here). All
-/// connections use seL4RPCCall as in §IV.B.
-std::string emit_camkes_assembly(const CompiledSystem& sys);
-
 }  // namespace mkbas::aadl

@@ -243,6 +243,81 @@ std::string CapDlSpec::to_text() const {
   return os.str();
 }
 
+// ---- The assembly description ----
+
+namespace {
+
+const char* connector_name(ConnKind kind) {
+  switch (kind) {
+    case ConnKind::kRpc:
+      return "seL4RPCCall";
+    case ConnKind::kEvent:
+      return "seL4Notification";
+    case ConnKind::kDataport:
+      return "seL4SharedData";
+  }
+  return "?";
+}
+
+// A component's features, in the order they are printed: the connection
+// ends of one kind, on the given side, each group in connection order.
+struct FeatureKind {
+  ConnKind kind;
+  bool from, to;
+  const char* decl;
+};
+constexpr FeatureKind kFeatureKinds[] = {
+    {ConnKind::kRpc, true, false, "uses MkbasIface"},
+    {ConnKind::kRpc, false, true, "provides MkbasIface"},
+    {ConnKind::kEvent, true, false, "emits MkbasEvent"},
+    {ConnKind::kEvent, false, true, "consumes MkbasEvent"},
+    {ConnKind::kDataport, true, true, "dataport Buf"},
+};
+
+}  // namespace
+
+std::string assembly_text(const aadl::CompiledSystem& sys) {
+  const Assembly a = assembly_of(sys);
+  // assembly_of keeps the instances' order; their types are the AADL
+  // implementation names without the ".impl" part.
+  auto type_of = [&sys](std::size_t c) {
+    const std::string& impl = sys.instances[c].impl_name;
+    return impl.substr(0, impl.find('.'));
+  };
+  std::ostringstream os;
+  os << "/* CAmkES assembly for system " << sys.name << ".\n"
+     << " * Generated by mkbas-aadlc (AADL -> CAmkES). */\n\n"
+     << "import <std_connector.camkes>;\n\n";
+  for (std::size_t c = 0; c < a.components.size(); ++c) {
+    const std::string& name = a.components[c];
+    os << "component " << type_of(c) << " {\n    control;\n";
+    for (const FeatureKind& f : kFeatureKinds) {
+      for (const Connection& k : a.connections) {
+        if (k.kind != f.kind) continue;
+        if (f.from && k.from == name) {
+          os << "    " << f.decl << " " << k.from_iface << ";\n";
+        }
+        if (f.to && k.to == name) {
+          os << "    " << f.decl << " " << k.to_iface << ";\n";
+        }
+      }
+    }
+    os << "}\n\n";
+  }
+  os << "assembly {\n    composition {\n";
+  for (std::size_t c = 0; c < a.components.size(); ++c) {
+    os << "        component " << type_of(c) << " " << a.components[c]
+       << ";\n";
+  }
+  for (const Connection& k : a.connections) {
+    os << "        connection " << connector_name(k.kind) << " " << k.name
+       << "(from " << k.from << "." << k.from_iface << ", to " << k.to << "."
+       << k.to_iface << ");\n";
+  }
+  os << "    }\n}\n";
+  return os.str();
+}
+
 // ---- CamkesSystem ----
 
 CamkesSystem::CamkesSystem(sim::Machine& machine)

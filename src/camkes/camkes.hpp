@@ -151,6 +151,13 @@ struct CapDlSpec {
 /// dataport connection. Pure: no machine, no kernel.
 CapDlSpec plan(const Assembly& assembly);
 
+/// The CAmkES assembly description of a compiled AADL system, as `aadlc
+/// --camkes` prints it: a component type per process instance with one
+/// feature per connection end, then the composition. Connectors and
+/// feature kinds come from assembly_of(sys), the assembly the bootstrap
+/// plans.
+std::string assembly_text(const aadl::CompiledSystem& sys);
+
 /// A CAmkES assembly: components plus seL4RPCCall connections, executed on
 /// the seL4 personality via a generated bootstrap process.
 ///

@@ -4,9 +4,11 @@
 
 #include "aadl/parser.hpp"
 #include "aadl/scenario_model.hpp"
+#include "camkes/camkes.hpp"
 #include "minix/kernel.hpp"
 
 namespace aadl = mkbas::aadl;
+namespace camkes = mkbas::camkes;
 namespace minix = mkbas::minix;
 
 namespace {
@@ -275,7 +277,7 @@ TEST(Compile, CSourceEmitterProducesTable) {
 TEST(Compile, CamkesEmitterListsComponentsAndConnections) {
   auto sys = compile_scenario();
   ASSERT_TRUE(sys.has_value());
-  const std::string cam = aadl::emit_camkes_assembly(*sys);
+  const std::string cam = camkes::assembly_text(*sys);
   EXPECT_NE(cam.find("component TempControlProcess tempProc;"),
             std::string::npos);
   EXPECT_NE(cam.find("connection seL4RPCCall c_setpoint(from "
@@ -325,7 +327,7 @@ end S.impl;
   EXPECT_EQ(sys->connections[0].kind, aadl::PortKind::kEventData);
   EXPECT_EQ(sys->connections[1].kind, aadl::PortKind::kEvent);
   EXPECT_EQ(sys->connections[2].kind, aadl::PortKind::kData);
-  const std::string cam = aadl::emit_camkes_assembly(*sys);
+  const std::string cam = camkes::assembly_text(*sys);
   EXPECT_NE(cam.find("connection seL4RPCCall c1"), std::string::npos);
   EXPECT_NE(cam.find("connection seL4Notification c2"), std::string::npos);
   EXPECT_NE(cam.find("connection seL4SharedData c3"), std::string::npos);
