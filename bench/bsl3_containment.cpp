@@ -85,7 +85,8 @@ int main() {
          t += sim::minutes(5)) {
       for (const auto& s : sc.history()) {
         if (s.time >= t) {
-          std::printf("  t=%lldmin %.1f", t / sim::minutes(1), s.lab_pa);
+          std::printf("  t=%lldmin %.1f",
+                      static_cast<long long>(t / sim::minutes(1)), s.lab_pa);
           break;
         }
       }

@@ -341,7 +341,7 @@ TEST(LinuxKernel, FilesRespectPermissions) {
   Errno write_denied = Errno::kOk;
   k.spawn_process("owner", 1000, [&] {
     const int fd = k.open_file("/var/log/ctl.log", true,
-                               Mode{true, true, true, false});
+                               Mode{true, true, true, false, {}});
     ASSERT_GE(fd, 0);
     ASSERT_EQ(k.write_file(fd, "t=0 temp=20.0\n"), Errno::kOk);
     m.sleep_for(sim::sec(1));
