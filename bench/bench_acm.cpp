@@ -19,18 +19,14 @@ namespace minix = mkbas::minix;
 
 namespace {
 
-/// Build matched sparse/fast/dense policies over `n` processes where each
-/// process talks to `out_degree` others. `sparse` is the pure sparse-map
-/// baseline (dense bound disabled — the configuration this bench has
-/// always measured); `fast` is the production AcmPolicy with its default
-/// dense fast path and lookup memo; `dense` is the full N x N table.
+/// Build matched sparse/dense policies over `n` processes where each
+/// process talks to `out_degree` others. `sparse` is the production
+/// AcmPolicy (the kernel's sparse map); `dense` is the full N x N table.
 struct PolicyPair {
   minix::AcmPolicy sparse;
-  minix::AcmPolicy fast;
   minix::DenseAcm dense;
 
   PolicyPair(int n, int out_degree, std::uint64_t seed) : dense(n) {
-    sparse.set_dense_bound(-1);
     mkbas::sim::Rng rng(seed);
     for (int src = 0; src < n; ++src) {
       for (int e = 0; e < out_degree; ++e) {
@@ -38,7 +34,6 @@ struct PolicyPair {
             static_cast<std::uint64_t>(n)));
         const std::uint64_t mask = rng.next_u64() & 0xFF;
         sparse.allow_mask(src, dst, mask);
-        fast.allow_mask(src, dst, mask);
         dense.allow_mask(src, dst, mask);
       }
     }
@@ -64,32 +59,6 @@ static void BM_SparseAcmLookup(benchmark::State& state) {
       static_cast<double>(p.sparse.memory_footprint_bytes());
 }
 BENCHMARK(BM_SparseAcmLookup)
-    ->Args({8, 4})
-    ->Args({64, 4})
-    ->Args({256, 4})
-    ->Args({1024, 4})
-    ->Args({1024, 32});
-
-// The production configuration: dense fast path for ids 0..63, memoized
-// sparse fallback above. At n=8/64 every probe is an array load; at
-// n>=256 most probes fall through to the memo + map.
-static void BM_FastAcmLookup(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int degree = static_cast<int>(state.range(1));
-  PolicyPair p(n, degree, 42);
-  mkbas::sim::Rng rng(7);
-  std::uint64_t allowed = 0;
-  for (auto _ : state) {
-    const int src = static_cast<int>(rng.next_below(n));
-    const int dst = static_cast<int>(rng.next_below(n));
-    const int type = static_cast<int>(rng.next_below(8));
-    allowed += p.fast.allowed(src, dst, type) ? 1 : 0;
-  }
-  benchmark::DoNotOptimize(allowed);
-  state.counters["bytes"] =
-      static_cast<double>(p.fast.memory_footprint_bytes());
-}
-BENCHMARK(BM_FastAcmLookup)
     ->Args({8, 4})
     ->Args({64, 4})
     ->Args({256, 4})
@@ -184,16 +153,13 @@ int main(int argc, char** argv) {
   };
 
   const double sparse_ns = time_lookups(p.sparse);
-  const double fast_ns = time_lookups(p.fast);
   const double dense_ns = time_lookups(p.dense);
   std::printf(
       "{\"bench\":\"bench_acm\",\"n\":%d,\"degree\":%d,"
-      "\"sparse_ns_per_lookup\":%.2f,\"fast_ns_per_lookup\":%.2f,"
-      "\"dense_ns_per_lookup\":%.2f,"
-      "\"sparse_bytes\":%llu,\"fast_bytes\":%llu,\"dense_bytes\":%llu}\n",
-      kN, kDegree, sparse_ns, fast_ns, dense_ns,
+      "\"sparse_ns_per_lookup\":%.2f,\"dense_ns_per_lookup\":%.2f,"
+      "\"sparse_bytes\":%llu,\"dense_bytes\":%llu}\n",
+      kN, kDegree, sparse_ns, dense_ns,
       static_cast<unsigned long long>(p.sparse.memory_footprint_bytes()),
-      static_cast<unsigned long long>(p.fast.memory_footprint_bytes()),
       static_cast<unsigned long long>(p.dense.memory_footprint_bytes()));
   return 0;
 }

@@ -1,14 +1,10 @@
-// C — the campaign engine and the kernel hot paths it leans on.
+// C — the campaign engine.
 //
-// Three measurements, one JSON artifact (BENCH_campaign.json):
-//  1. ACM lookup latency: pure sparse map vs the production dense+memo
-//     fast path, at the MINIX system size (every ac_id in dense range).
-//  2. seL4 capability path resolution: full CNode-chain walk vs the
-//     pre-resolved path cache.
-//  3. A 16-seed benign sweep (every cell a full virtual-hour MINIX run)
-//     executed sequentially and with --jobs N work-stealing threads;
-//     merged metrics and trace hashes must be byte-identical, and the
-//     wall-clock ratio is the campaign speedup.
+// One measurement, one JSON artifact (BENCH_campaign.json): a 16-seed
+// benign sweep (every cell a full virtual-hour MINIX run) executed
+// sequentially and with --jobs N work-stealing threads; merged metrics
+// and trace hashes must be byte-identical, and the wall-clock ratio is
+// the campaign speedup.
 //
 // Speedup is bounded by physical cores: the JSON records "cores" so the
 // regression checker only compares like with like (single-thread
@@ -16,127 +12,16 @@
 // meaningful when the core count matches the baseline's).
 //
 // The last stdout line is the JSON summary.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "campaign/campaign.hpp"
-#include "minix/acm.hpp"
-#include "sel4/kernel.hpp"
-#include "sim/rng.hpp"
 
 namespace core = mkbas::core;
-namespace minix = mkbas::minix;
-namespace sel4 = mkbas::sel4;
-namespace sim = mkbas::sim;
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ns_between(Clock::time_point t0, Clock::time_point t1,
-                  std::uint64_t iters) {
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(iters);
-}
-
-/// Sparse-baseline vs fast-path ACM lookup at the scale the scenarios
-/// actually run (a BAS controller has ~8 protected processes, every
-/// ac_id inside the dense range). bench_acm covers the large-n regimes.
-void bench_acm(double* sparse_ns, double* fast_ns) {
-  constexpr int kN = 8;
-  constexpr int kDegree = 4;
-  constexpr std::uint64_t kIters = 2000000;
-  minix::AcmPolicy sparse;
-  sparse.set_dense_bound(-1);
-  minix::AcmPolicy fast;
-  sim::Rng fill(42);
-  for (int src = 0; src < kN; ++src) {
-    for (int e = 0; e < kDegree; ++e) {
-      const int dst = static_cast<int>(fill.next_below(kN));
-      const std::uint64_t mask = fill.next_u64() & 0xFF;
-      sparse.allow_mask(src, dst, mask);
-      fast.allow_mask(src, dst, mask);
-    }
-  }
-  // Latency, not throughput: the probe ids derive from an LCG state that
-  // the previous verdict feeds back into, so consecutive lookups form one
-  // dependency chain that out-of-order execution can't overlap — matching
-  // the kernel's real use, where the verdict gates the very next action.
-  // Best-of-five reps drops scheduler noise.
-  auto measure = [&](const minix::AcmPolicy& p) {
-    double best = 1e18;
-    for (int rep = 0; rep < 5; ++rep) {
-      std::uint64_t x = 0x243F6A8885A308D3ULL;
-      const auto t0 = Clock::now();
-      for (std::uint64_t i = 0; i < kIters; ++i) {
-        const int src = static_cast<int>(x % kN);
-        const int dst = static_cast<int>((x >> 8) % kN);
-        const int type = static_cast<int>((x >> 16) & 7);
-        const bool a = p.allowed(src, dst, type);
-        x = x * 6364136223846793005ULL +
-            (a ? 1442695040888963407ULL : 0x9E3779B97F4A7C15ULL);
-      }
-      const auto t1 = Clock::now();
-      // Keep the loop honest without google-benchmark's DoNotOptimize.
-      volatile std::uint64_t sink = x;
-      (void)sink;
-      best = std::min(best, ns_between(t0, t1, kIters));
-    }
-    return best;
-  };
-  *sparse_ns = measure(sparse);
-  *fast_ns = measure(fast);
-}
-
-/// Capability path resolution through a deep CSpace (a chain of eight
-/// CNodes, each holding the next in slot 0 — the multi-level addressing
-/// bench T4 exercises), probed with the cache disabled (every call walks
-/// the chain) and enabled (every call after the first is a hash probe).
-void bench_cap_path(double* walk_ns, double* cached_ns) {
-  sim::Machine m;
-  sel4::Sel4Kernel k(m);
-  constexpr std::uint64_t kIters = 200000;
-  constexpr int kDepth = 8;
-  double walk = 0, cached = 0;
-  k.boot_root([&] {
-    using Slot = sel4::Sel4Kernel::Slot;
-    constexpr Slot kUntyped = sel4::Sel4Kernel::kRootUntypedSlot;
-    // Scratch slots 10..10+kDepth-1 hold the chain CNodes; link each
-    // CNode's slot 0 to the next one.
-    for (int i = 0; i < kDepth; ++i) {
-      k.retype(kUntyped, sel4::ObjType::kCNode, 10 + i, 4);
-    }
-    for (int i = 0; i + 1 < kDepth; ++i) {
-      k.cnode_copy_into(10 + i, 10 + i + 1, 0, sel4::CapRights::all());
-    }
-    std::vector<Slot> path = {10};
-    for (int i = 0; i + 1 < kDepth; ++i) path.push_back(0);
-    k.set_path_cache_enabled(false);
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kIters; ++i) k.probe_path(path);
-    auto t1 = Clock::now();
-    walk = ns_between(t0, t1, kIters);
-
-    k.set_path_cache_enabled(true);
-    k.probe_path(path);  // warm the single entry
-    t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kIters; ++i) k.probe_path(path);
-    t1 = Clock::now();
-    cached = ns_between(t0, t1, kIters);
-  });
-  m.run();
-  *walk_ns = walk;
-  *cached_ns = cached;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int seeds = 16;
@@ -153,17 +38,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("C: campaign engine + kernel hot paths\n");
-
-  double acm_sparse_ns = 0, acm_fast_ns = 0;
-  bench_acm(&acm_sparse_ns, &acm_fast_ns);
-  std::printf("acm lookup     : sparse %.2f ns, fast %.2f ns\n",
-              acm_sparse_ns, acm_fast_ns);
-
-  double cap_walk_ns = 0, cap_cached_ns = 0;
-  bench_cap_path(&cap_walk_ns, &cap_cached_ns);
-  std::printf("cap probe_path : walk %.2f ns, cached %.2f ns\n",
-              cap_walk_ns, cap_cached_ns);
+  std::printf("C: campaign engine\n");
 
   const auto cells =
       core::seed_sweep_cells(core::Platform::kMinix, {}, 1, seeds);
@@ -208,14 +83,11 @@ int main(int argc, char** argv) {
       "\"cores\":%u,\"seq_wall_s\":%.3f,\"par_wall_s\":%.3f,"
       "\"speedup\":%.3f,\"steals\":%llu,\"messages\":%llu,"
       "\"msgs_per_sec_seq\":%.1f,\"msgs_per_sec_par\":%.1f,"
-      "\"acm_sparse_ns\":%.2f,\"acm_fast_ns\":%.2f,"
-      "\"cap_walk_ns\":%.2f,\"cap_cached_ns\":%.2f,"
       "\"deterministic\":%s,\"merged_trace_hash\":\"%016llx\"}",
       cells.size(), jobs, std::thread::hardware_concurrency(),
       seq.wall_seconds, par.wall_seconds, speedup,
       static_cast<unsigned long long>(par.steals),
       static_cast<unsigned long long>(messages), seq_rate, par_rate,
-      acm_sparse_ns, acm_fast_ns, cap_walk_ns, cap_cached_ns,
       deterministic ? "true" : "false",
       static_cast<unsigned long long>(seq.merged_trace_hash));
 

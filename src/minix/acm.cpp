@@ -13,85 +13,6 @@ void AcmPolicy::allow(int src_ac, int dst_ac,
 
 void AcmPolicy::allow_mask(int src_ac, int dst_ac, std::uint64_t mask) {
   cells_[key(src_ac, dst_ac)] |= mask;
-  if (in_dense(src_ac, dst_ac)) {
-    const auto n = static_cast<std::size_t>(dense_bound_ + 1);
-    dense_[static_cast<std::size_t>(src_ac) * n +
-           static_cast<std::size_t>(dst_ac)] |= mask;
-  }
-  // The mutated cell may be memoized (with the old mask, or as a miss).
-  invalidate_memo();
-}
-
-std::uint64_t AcmPolicy::slow_mask(int src, int dst) const {
-  if (dense_bound_ < 0) {
-    // Fast paths disabled: pure sparse lookup (the T3 baseline config).
-    const auto it = cells_.find(key(src, dst));
-    return it == cells_.end() ? 0 : it->second;
-  }
-  const std::uint64_t k = key(src, dst);
-  Memo& m = memo_[static_cast<std::uint32_t>(src) % kMemoSlots];
-  if (m.valid && m.key == k) return m.mask;
-  const auto it = cells_.find(k);
-  // Misses memoize too: an attacker probing a absent cell pays the hash
-  // once, not per message.
-  m = Memo{k, it == cells_.end() ? 0 : it->second, true};
-  return m.mask;
-}
-
-std::uint64_t AcmPolicy::mask(int src_ac, int dst_ac) const {
-  if (in_dense(src_ac, dst_ac)) {
-    const auto n = static_cast<std::size_t>(dense_bound_ + 1);
-    return dense_[static_cast<std::size_t>(src_ac) * n +
-                  static_cast<std::size_t>(dst_ac)];
-  }
-  return slow_mask(src_ac, dst_ac);
-}
-
-void AcmPolicy::set_dense_bound(int max_ac_id) {
-  dense_bound_ = max_ac_id < 0 ? -1 : max_ac_id;
-  if (dense_bound_ < 0) {
-    // Actually release the buffer — assign(0) keeps the old capacity,
-    // which memory_footprint_bytes() would keep charging.
-    std::vector<std::uint64_t>().swap(dense_);
-  } else {
-    dense_.assign((static_cast<std::size_t>(dense_bound_) + 1) *
-                      (static_cast<std::size_t>(dense_bound_) + 1),
-                  0);
-    dense_.shrink_to_fit();
-  }
-  // Re-project existing cells into the (re)sized dense table.
-  if (dense_bound_ >= 0) {
-    const auto n = static_cast<std::size_t>(dense_bound_ + 1);
-    for (const auto& [k, m] : cells_) {
-      const int src = static_cast<int>(k >> 32);
-      const int dst = static_cast<int>(k & 0xFFFFFFFFULL);
-      if (in_dense(src, dst)) {
-        dense_[static_cast<std::size_t>(src) * n +
-               static_cast<std::size_t>(dst)] = m;
-      }
-    }
-  }
-  invalidate_memo();
-}
-
-void AcmPolicy::invalidate_memo() const {
-  for (Memo& m : memo_) m.valid = false;
-}
-
-void AcmPolicy::invalidate_ac(int ac_id) const {
-  const auto id = static_cast<std::uint32_t>(ac_id);
-  for (Memo& m : memo_) {
-    if (!m.valid) continue;
-    if (static_cast<std::uint32_t>(m.key >> 32) == id ||
-        static_cast<std::uint32_t>(m.key & 0xFFFFFFFFULL) == id) {
-      m.valid = false;
-    }
-  }
-}
-
-bool AcmPolicy::memo_valid(int src_ac, int dst_ac) const {
-  const Memo& m = memo_[static_cast<std::uint32_t>(src_ac) % kMemoSlots];
-  return m.valid && m.key == key(src_ac, dst_ac);
 }
 
 void AcmPolicy::allow_kill(int src_ac, int target_ac) {
@@ -130,9 +51,7 @@ std::size_t map_footprint(const Map& m) {
 
 std::size_t AcmPolicy::memory_footprint_bytes() const {
   return map_footprint(cells_) + map_footprint(kill_) +
-         map_footprint(fork_quota_) +
-         dense_.capacity() * sizeof(std::uint64_t) +
-         sizeof(memo_);
+         map_footprint(fork_quota_);
 }
 
 }  // namespace mkbas::minix

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
@@ -20,18 +19,11 @@ namespace mkbas::minix {
 /// immutable from user space — only trusted kernel paths (reincarnation
 /// bootstrap) ever extend it at run time.
 ///
-/// Lookup layout, tuned for the per-message hot path:
-///  * ac_ids in [0, dense_bound] resolve through a dense
-///    (bound+1) x (bound+1) mask array — one multiply + index, no hashing.
-///    Every real scenario's ac_ids live here, so the kernel's per-message
-///    cost is a single array load.
-///  * ids above the bound fall back to the sparse map, fronted by a
-///    direct-mapped one-entry-per-sender memo of the last (src, dst) mask
-///    probed, so a process hammering one peer pays the hash at most once.
-///    Memo entries are invalidated by any policy mutation and by
-///    invalidate_ac() (process revocation / reincarnation).
-///  * set_dense_bound(-1) disables both fast paths (pure sparse map) —
-///    the configuration the T3 space-efficiency bench compares against.
+/// The matrix is stored sparse, as the paper does: one hash-map cell per
+/// (src, dst) pair that has any bit set, so space grows with the policy's
+/// edges, not with the square of the process count. Every lookup is one
+/// const probe of that map, so a verdict always reflects the matrix as it
+/// stands.
 ///
 /// Beyond the paper's prototype we also carry the ACM extensions the paper
 /// proposes as future work: per-process kill permissions (audited by the
@@ -40,10 +32,6 @@ namespace mkbas::minix {
 class AcmPolicy {
  public:
   static constexpr int kMaxMessageType = 63;
-  /// Default dense range: ac_ids 0..63 (MINIX's NR_SYS_PROCS scale).
-  static constexpr int kDefaultDenseBound = 63;
-
-  AcmPolicy() { set_dense_bound(kDefaultDenseBound); }
 
   /// Allow `src` to send messages of the listed types to `dst`.
   void allow(int src_ac, int dst_ac, std::initializer_list<int> types);
@@ -52,16 +40,12 @@ class AcmPolicy {
   /// True iff the matrix permits (src, dst, m_type).
   bool allowed(int src_ac, int dst_ac, int m_type) const {
     if (m_type < 0 || m_type > kMaxMessageType) return false;
-    if (in_dense(src_ac, dst_ac)) {
-      const auto n = static_cast<std::size_t>(dense_bound_ + 1);
-      return (dense_[static_cast<std::size_t>(src_ac) * n +
-                     static_cast<std::size_t>(dst_ac)] >>
-              m_type) &
-             1ULL;
-    }
-    return (slow_mask(src_ac, dst_ac) >> m_type) & 1ULL;
+    return (mask(src_ac, dst_ac) >> m_type) & 1ULL;
   }
-  std::uint64_t mask(int src_ac, int dst_ac) const;
+  std::uint64_t mask(int src_ac, int dst_ac) const {
+    const auto it = cells_.find(key(src_ac, dst_ac));
+    return it == cells_.end() ? 0 : it->second;
+  }
 
   /// PM-audited kill permission: may `src` kill `target`?
   void allow_kill(int src_ac, int target_ac);
@@ -75,27 +59,11 @@ class AcmPolicy {
   void set_quotas_enabled(bool on) { quotas_enabled_ = on; }
   bool quotas_enabled() const { return quotas_enabled_; }
 
-  /// Reconfigure the dense fast-path range: ac_ids in [0, max_ac_id] are
-  /// served from the dense array. -1 disables the dense path AND the memo
-  /// (pure sparse-map lookups). Existing cells are re-projected, so this
-  /// may be called at any time.
-  void set_dense_bound(int max_ac_id);
-  int dense_bound() const { return dense_bound_; }
-
-  /// Drop any memoized lookup involving `ac_id` (as sender or receiver).
-  /// Kernel personalities call this when a process with that ac_id dies or
-  /// is reincarnated, so a stale memo can never outlive its process.
-  void invalidate_ac(int ac_id) const;
-
-  /// Test-only introspection: is there a live memo entry for (src, dst)?
-  bool memo_valid(int src_ac, int dst_ac) const;
-
   /// Number of (src, dst) cells present (for the space-efficiency bench).
   std::size_t cell_count() const { return cells_.size(); }
   /// Footprint of every lookup structure this policy owns: sparse-map
   /// nodes and bucket arrays (sizeof of the actual node value types plus
-  /// the two per-node pointers libstdc++ charges), the dense fast-path
-  /// array and the memo table.
+  /// the two per-node pointers libstdc++ charges).
   std::size_t memory_footprint_bytes() const;
 
  private:
@@ -105,38 +73,9 @@ class AcmPolicy {
            static_cast<std::uint32_t>(dst);
   }
 
-  bool in_dense(int src, int dst) const {
-    // dense_bound_ must stay signed here: -1 (fast paths disabled) would
-    // wrap to UINT32_MAX and admit every id into an empty table. For the
-    // ids themselves one unsigned compare suffices — negatives wrap above
-    // any sane bound.
-    return dense_bound_ >= 0 &&
-           static_cast<std::uint32_t>(src) <=
-               static_cast<std::uint32_t>(dense_bound_) &&
-           static_cast<std::uint32_t>(dst) <=
-               static_cast<std::uint32_t>(dense_bound_);
-  }
-
-  /// Memo-fronted sparse lookup for ids outside the dense range.
-  std::uint64_t slow_mask(int src, int dst) const;
-  void invalidate_memo() const;
-
-  struct Memo {
-    std::uint64_t key = 0;
-    std::uint64_t mask = 0;
-    bool valid = false;
-  };
-  static constexpr std::size_t kMemoSlots = 64;  // direct-mapped by sender
-
   std::unordered_map<std::uint64_t, std::uint64_t> cells_;
   std::unordered_map<std::uint64_t, bool> kill_;
   std::unordered_map<int, int> fork_quota_;
-  int dense_bound_ = -1;
-  std::vector<std::uint64_t> dense_;  // (bound+1)^2 masks, row-major
-  // Mutable: allowed() is logically const; the memo is a cache. Each
-  // kernel personality owns its policy and the simulator's single baton
-  // serializes every lookup, so there is no concurrent mutation.
-  mutable std::array<Memo, kMemoSlots> memo_{};
   bool quotas_enabled_ = false;
 };
 

@@ -213,11 +213,6 @@ void MinixKernel::on_process_gone(Pcb& pcb) {
     }
   }
 
-  // A dead process must not leave a memoized ACM cell behind: its ac_id
-  // may be re-issued to a reincarnated successor whose row could later
-  // change (the RS bootstrap extends the policy at enable time).
-  policy_.invalidate_ac(pcb.ac_id);
-
   pcb.live = false;
   pcb.proc = nullptr;
   pcb.user_buf = nullptr;

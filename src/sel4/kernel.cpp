@@ -155,7 +155,6 @@ void Sel4Kernel::unref_object(int id) {
   if (id < 0) return;
   Object& o = obj(id);
   if (--o.refcount > 0) return;
-  touch_caps();
   // Last capability gone: blocked threads on this object wake with an
   // error so authority revocation is visible, not a silent hang.
   if (o.type == ObjType::kEndpoint) {
@@ -249,7 +248,6 @@ sim::Process* Sel4Kernel::boot_root(std::function<void()> body,
   obj(cnode).refcount = 1;
   obj(untyped).refcount = 1;
   obj(tcb).refcount = 1;
-  touch_caps();
 
   TcbObj& t = std::get<TcbObj>(obj(tcb).payload);
   t.name = "rootserver";
@@ -290,7 +288,6 @@ Sel4Error Sel4Kernel::retype(Slot untyped_slot, ObjType type, Slot dest_slot,
   dest = cap_at(cspace_of(current_tcb()), dest_slot);
   *dest = Capability{id, type, CapRights::all(), 0};
   obj(id).refcount = 1;
-  touch_caps();
   return Sel4Error::kOk;
 }
 
@@ -332,7 +329,6 @@ Sel4Error Sel4Kernel::create_thread(Slot untyped_slot, const std::string& name,
       Capability{cnode, ObjType::kCNode, CapRights::all(), 0};
   obj(tcb).refcount++;
   obj(cnode).refcount++;
-  touch_caps();
   machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kProcess,
                         "sel4.create_thread", name);
   return Sel4Error::kOk;
@@ -406,7 +402,6 @@ Sel4Error Sel4Kernel::cnode_mint(Slot src, Slot dst, CapRights mask,
   d->rights = s->rights.masked_by(mask);  // derivation can only shrink
   if (badge != 0) d->badge = badge;
   obj(d->object).refcount++;
-  touch_caps();
   return Sel4Error::kOk;
 }
 
@@ -421,7 +416,6 @@ Sel4Error Sel4Kernel::cnode_move(Slot src, Slot dst) {
   if (d->valid()) return Sel4Error::kSlotOccupied;
   *d = *s;
   *s = Capability{};
-  touch_caps();
   return Sel4Error::kOk;
 }
 
@@ -435,7 +429,6 @@ Sel4Error Sel4Kernel::cnode_delete(Slot slot) {
   const int id = s->object;
   *s = Capability{};
   unref_object(id);
-  touch_caps();
   return Sel4Error::kOk;
 }
 
@@ -459,7 +452,6 @@ Sel4Error Sel4Kernel::cnode_revoke(Slot slot) {
       }
     }
   }
-  touch_caps();
   trace_sec("cap.revoke",
             current_tcb().name + " revoked object " + std::to_string(target));
   return Sel4Error::kOk;
@@ -486,7 +478,6 @@ Sel4Error Sel4Kernel::cnode_copy_into(Slot target_cnode, Slot src,
   d->rights = s->rights.masked_by(mask);
   if (badge != 0) d->badge = badge;
   obj(d->object).refcount++;
-  touch_caps();
   return Sel4Error::kOk;
 }
 
@@ -494,60 +485,17 @@ Sel4Error Sel4Kernel::probe_path(const std::vector<Slot>& path) {
   machine_.enter_kernel();
   met_.sc_cnode.inc();
   if (path.empty()) return Sel4Error::kBadSlot;
-  const int root = current_tcb().cnode;
-
-  std::uint64_t h = 0;
-  if (path_cache_enabled_) {
-    // Cached verdicts are valid only for the capability layout they were
-    // computed against: any slot write or object destruction bumps
-    // cap_epoch_, and a stale cache is dropped wholesale here.
-    if (path_cache_epoch_ != cap_epoch_) {
-      path_cache_.clear();
-      path_cache_epoch_ = cap_epoch_;
-    }
-    // FNV-1a over the caller's root CNode id and the slot sequence, so
-    // threads with different CSpaces never share an entry.
-    h = 14695981039346656037ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    };
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(root)));
-    for (Slot s : path) {
-      mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)));
-    }
-    if (const auto it = path_cache_.find(h); it != path_cache_.end()) {
-      ++path_cache_hits_;
-      return it->second;
-    }
-    ++path_cache_misses_;
-  }
-
-  Sel4Error verdict = Sel4Error::kOk;
-  int cnode_id = root;
+  int cnode_id = current_tcb().cnode;
   for (std::size_t i = 0; i < path.size(); ++i) {
     CNodeObj& cs = std::get<CNodeObj>(obj(cnode_id).payload);
     Capability* cap = cap_at(cs, path[i]);
-    if (cap == nullptr) {
-      verdict = Sel4Error::kBadSlot;
-      break;
-    }
-    if (!cap->valid()) {
-      verdict = Sel4Error::kEmptySlot;
-      break;
-    }
+    if (cap == nullptr) return Sel4Error::kBadSlot;
+    if (!cap->valid()) return Sel4Error::kEmptySlot;
     if (i + 1 == path.size()) break;
-    if (cap->type != ObjType::kCNode) {
-      verdict = Sel4Error::kWrongType;
-      break;
-    }
+    if (cap->type != ObjType::kCNode) return Sel4Error::kWrongType;
     cnode_id = cap->object;
   }
-  if (path_cache_enabled_) {
-    if (path_cache_.size() >= kPathCacheMax) path_cache_.clear();
-    path_cache_.emplace(h, verdict);
-  }
-  return verdict;
+  return Sel4Error::kOk;
 }
 
 // ---- IPC ----
@@ -571,7 +519,6 @@ void Sel4Kernel::transfer_cap_if_any(TcbObj& sender, TcbObj& receiver,
   if (dst == nullptr || dst->valid()) return;
   *dst = *src;
   obj(dst->object).refcount++;
-  touch_caps();
   trace_sec("cap.transfer",
             sender.name + " -> " + receiver.name + " obj=" +
                 std::to_string(src->object));

@@ -111,26 +111,11 @@ class Sel4Kernel {
                             CapRights mask, std::uint64_t badge = 0);
 
   /// Walk a chain of CNode caps (multi-level CSpace addressing); returns
-  /// kOk iff a capability exists at the end of the path. Used by the
-  /// capability-lookup-depth benchmark (T4).
-  ///
-  /// Resolutions are served from a pre-resolved path cache: the first walk
-  /// of a (CSpace root, path) pair pays the full chain, repeats are one
-  /// hash probe. Any operation that writes a capability slot or destroys
-  /// an object (delete, revoke, move, mint, retype, cap transfer, thread
-  /// death — i.e. also a CAmkES restart-from-spec) bumps an epoch that
-  /// invalidates the whole cache, so a cached verdict can never outlive
-  /// the capability topology it was derived from.
+  /// kOk iff a capability exists at the end of the path. Every call walks
+  /// the chain against the live CSpace, so the verdict always reflects the
+  /// current capability topology. Used by the capability-lookup-depth
+  /// benchmark (T4).
   Sel4Error probe_path(const std::vector<Slot>& path);
-
-  /// Path-cache observability (tests and bench T4).
-  std::uint64_t path_cache_hits() const { return path_cache_hits_; }
-  std::uint64_t path_cache_misses() const { return path_cache_misses_; }
-  /// Benchmark/test hook: disable the cache to measure the raw walk.
-  void set_path_cache_enabled(bool on) {
-    path_cache_enabled_ = on;
-    if (!on) path_cache_.clear();
-  }
 
   // ---- IPC ----
 
@@ -278,9 +263,6 @@ class Sel4Kernel {
   /// and audited.
   void deny(const std::string& what, const std::string& detail);
 
-  /// Capability topology changed: invalidate every cached path resolution.
-  void touch_caps() { ++cap_epoch_; }
-
   /// Pre-resolved handles ("sel4.*" namespace); no string lookups on the
   /// IPC path.
   struct Metrics {
@@ -301,18 +283,6 @@ class Sel4Kernel {
   // while other threads allocate objects.
   std::deque<Object> objects_;
   std::unordered_map<int, int> pid_to_tcb_;
-
-  // Pre-resolved CNode-path cache: FNV-1a over (CSpace root, slots) ->
-  // walk verdict. Coarse epoch invalidation keeps correctness trivial:
-  // the cache only has to survive the hot steady state between topology
-  // changes, which is exactly when T4-style lookups repeat.
-  static constexpr std::size_t kPathCacheMax = 1024;
-  std::unordered_map<std::uint64_t, Sel4Error> path_cache_;
-  std::uint64_t cap_epoch_ = 0;
-  std::uint64_t path_cache_epoch_ = 0;
-  std::uint64_t path_cache_hits_ = 0;
-  bool path_cache_enabled_ = true;
-  std::uint64_t path_cache_misses_ = 0;
 };
 
 }  // namespace mkbas::sel4

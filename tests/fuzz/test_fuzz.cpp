@@ -33,14 +33,15 @@ TEST_P(MinixIpcFuzz, DeliveriesRespectThePolicyUnderChaos) {
   sim::Rng policy_rng(seed);
 
   constexpr int kProcs = 8;
+  constexpr int kBaseAc = 100;  // inside the scenarios' ac_ids (99..115)
   minix::AcmPolicy acm;
   // Random message policy over types 0..7 between the 8 processes.
   for (int a = 0; a < kProcs; ++a) {
     for (int b = 0; b < kProcs; ++b) {
-      acm.allow_mask(10 + a, 10 + b, policy_rng.next_u64() & 0xFF);
+      acm.allow_mask(kBaseAc + a, kBaseAc + b, policy_rng.next_u64() & 0xFF);
     }
-    acm.allow_mask(10 + a, minix::MinixKernel::kPmAcId, ~0ULL);
-    acm.allow_mask(minix::MinixKernel::kPmAcId, 10 + a, ~0ULL);
+    acm.allow_mask(kBaseAc + a, minix::MinixKernel::kPmAcId, ~0ULL);
+    acm.allow_mask(minix::MinixKernel::kPmAcId, kBaseAc + a, ~0ULL);
   }
   const minix::AcmPolicy reference = acm;  // kernel gets a copy
 
@@ -57,7 +58,7 @@ TEST_P(MinixIpcFuzz, DeliveriesRespectThePolicyUnderChaos) {
   auto endpoints = std::make_shared<std::vector<minix::Endpoint>>();
 
   for (int i = 0; i < kProcs; ++i) {
-    const int ac = 10 + i;
+    const int ac = kBaseAc + i;
     const minix::Endpoint ep = k.srv_fork2(
         "fuzz" + std::to_string(i), ac,
         [&k, &m, ac, deliveries, endpoints, ep_to_ac, seed, i] {

@@ -607,34 +607,9 @@ TEST(Sel4, ThreadDeathPurgesEndpointQueues) {
   EXPECT_EQ(got, 0u);  // queue was purged; nothing to receive
 }
 
-// ---- Path-resolution cache (the capability-lookup hot path) ----
+// ---- probe_path verdicts follow every capability change ----
 
-TEST(Sel4PathCache, RepeatProbeHitsCache) {
-  sim::Machine m;
-  Sel4Kernel k(m);
-  std::uint64_t hits = 0, misses = 0;
-  Sel4Error first = Sel4Error::kOk, second = Sel4Error::kBadSlot;
-  k.boot_root([&] {
-    ASSERT_EQ(k.retype(kUntyped, ObjType::kCNode, 10, 4), Sel4Error::kOk);
-    ASSERT_EQ(k.retype(kUntyped, ObjType::kEndpoint, 11), Sel4Error::kOk);
-    ASSERT_EQ(k.cnode_copy_into(10, 11, 0, CapRights::all()),
-              Sel4Error::kOk);
-    const std::vector<Slot> path = {10, 0};
-    first = k.probe_path(path);
-    second = k.probe_path(path);
-    hits = k.path_cache_hits();
-    misses = k.path_cache_misses();
-  });
-  m.run();
-  EXPECT_EQ(first, Sel4Error::kOk);
-  EXPECT_EQ(second, Sel4Error::kOk);
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(misses, 1u);
-}
-
-TEST(Sel4PathCache, SlotWriteInvalidatesNegativeVerdict) {
-  // A cached kEmptySlot must not survive the slot being filled: the
-  // cache keys on cap_epoch_, which every capability mutation bumps.
+TEST(Sel4ProbePath, VerdictFollowsSlotWrite) {
   sim::Machine m;
   Sel4Kernel k(m);
   Sel4Error before = Sel4Error::kOk, after = Sel4Error::kBadSlot;
@@ -642,8 +617,7 @@ TEST(Sel4PathCache, SlotWriteInvalidatesNegativeVerdict) {
     ASSERT_EQ(k.retype(kUntyped, ObjType::kCNode, 10, 4), Sel4Error::kOk);
     ASSERT_EQ(k.retype(kUntyped, ObjType::kEndpoint, 11), Sel4Error::kOk);
     const std::vector<Slot> path = {10, 1};
-    before = k.probe_path(path);  // slot 1 is empty; verdict cached
-    before = k.probe_path(path);  // served from cache
+    before = k.probe_path(path);  // slot 1 is empty
     ASSERT_EQ(k.cnode_copy_into(10, 11, 1, CapRights::all()),
               Sel4Error::kOk);
     after = k.probe_path(path);
@@ -653,7 +627,7 @@ TEST(Sel4PathCache, SlotWriteInvalidatesNegativeVerdict) {
   EXPECT_EQ(after, Sel4Error::kOk);
 }
 
-TEST(Sel4PathCache, DeleteInvalidatesPositiveVerdict) {
+TEST(Sel4ProbePath, VerdictFollowsDelete) {
   sim::Machine m;
   Sel4Kernel k(m);
   Sel4Error before = Sel4Error::kBadSlot, after = Sel4Error::kOk;
@@ -664,16 +638,15 @@ TEST(Sel4PathCache, DeleteInvalidatesPositiveVerdict) {
               Sel4Error::kOk);
     const std::vector<Slot> path = {10, 0};
     before = k.probe_path(path);
-    before = k.probe_path(path);  // cached kOk
     ASSERT_EQ(k.cnode_delete(10), Sel4Error::kOk);
-    after = k.probe_path(path);   // root slot gone: must not report kOk
+    after = k.probe_path(path);  // root slot gone: must not report kOk
   });
   m.run();
   EXPECT_EQ(before, Sel4Error::kOk);
   EXPECT_NE(after, Sel4Error::kOk);
 }
 
-TEST(Sel4PathCache, RevokeInvalidatesDerivedPath) {
+TEST(Sel4ProbePath, VerdictFollowsRevoke) {
   sim::Machine m;
   Sel4Kernel k(m);
   Sel4Error before = Sel4Error::kBadSlot, after = Sel4Error::kOk;
@@ -685,35 +658,10 @@ TEST(Sel4PathCache, RevokeInvalidatesDerivedPath) {
               Sel4Error::kOk);
     const std::vector<Slot> path = {10, 0};
     before = k.probe_path(path);
-    before = k.probe_path(path);  // cached kOk
     ASSERT_EQ(k.cnode_revoke(11), Sel4Error::kOk);  // sweeps the child
     after = k.probe_path(path);
   });
   m.run();
   EXPECT_EQ(before, Sel4Error::kOk);
   EXPECT_NE(after, Sel4Error::kOk);
-}
-
-TEST(Sel4PathCache, DisabledCacheCountsNothingAndStaysCorrect) {
-  sim::Machine m;
-  Sel4Kernel k(m);
-  std::uint64_t hits = 0, misses = 0;
-  Sel4Error r1 = Sel4Error::kBadSlot, r2 = Sel4Error::kBadSlot;
-  k.boot_root([&] {
-    k.set_path_cache_enabled(false);
-    ASSERT_EQ(k.retype(kUntyped, ObjType::kCNode, 10, 4), Sel4Error::kOk);
-    ASSERT_EQ(k.retype(kUntyped, ObjType::kEndpoint, 11), Sel4Error::kOk);
-    ASSERT_EQ(k.cnode_copy_into(10, 11, 0, CapRights::all()),
-              Sel4Error::kOk);
-    const std::vector<Slot> path = {10, 0};
-    r1 = k.probe_path(path);
-    r2 = k.probe_path(path);
-    hits = k.path_cache_hits();
-    misses = k.path_cache_misses();
-  });
-  m.run();
-  EXPECT_EQ(r1, Sel4Error::kOk);
-  EXPECT_EQ(r2, Sel4Error::kOk);
-  EXPECT_EQ(hits, 0u);
-  EXPECT_EQ(misses, 0u);
 }
