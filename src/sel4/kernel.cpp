@@ -749,16 +749,13 @@ Sel4Error Sel4Kernel::call(Slot ep_slot, Sel4Msg& inout) {
   return r;
 }
 
-Sel4Error Sel4Kernel::reply(const Sel4Msg& msg) {
-  machine_.enter_kernel();
-  met_.sc_reply.inc();
-  TcbObj& self = current_tcb();
-  if (self.reply_to_tcb < 0) return Sel4Error::kNoReplyCap;
-  const int caller_id = self.reply_to_tcb;
-  self.reply_to_tcb = -1;  // one-time: consumed
+Sel4Kernel::TcbObj* Sel4Kernel::deliver_reply(TcbObj& server,
+                                               const Sel4Msg& msg) {
+  const int caller_id = server.reply_to_tcb;
+  server.reply_to_tcb = -1;  // one-time: consumed
   TcbObj& caller = std::get<TcbObj>(obj(caller_id).payload);
   if (caller.proc == nullptr || caller.waiting_reply_from < 0) {
-    return Sel4Error::kDeleted;
+    return nullptr;
   }
   if (caller.recv_buf != nullptr) {
     *caller.recv_buf = msg;
@@ -766,12 +763,22 @@ Sel4Error Sel4Kernel::reply(const Sel4Msg& msg) {
   }
   caller.waiting_reply_from = -1;
   caller.ipc_status = Sel4Error::kOk;
-  reply_hop_span(self, caller);
+  reply_hop_span(server, caller);
   machine_.make_ready(caller.proc);
+  return &caller;
+}
+
+Sel4Error Sel4Kernel::reply(const Sel4Msg& msg) {
+  machine_.enter_kernel();
+  met_.sc_reply.inc();
+  TcbObj& self = current_tcb();
+  if (self.reply_to_tcb < 0) return Sel4Error::kNoReplyCap;
+  const TcbObj* caller = deliver_reply(self, msg);
+  if (caller == nullptr) return Sel4Error::kDeleted;
   machine_.trace().emit(machine_.now(),
                         self.proc ? self.proc->pid() : -1,
                         sim::TraceKind::kIpc, "sel4.reply",
-                        self.name + " -> " + caller.name);
+                        self.name + " -> " + caller->name);
   return Sel4Error::kOk;
 }
 
@@ -780,21 +787,7 @@ RecvResult Sel4Kernel::reply_recv(Slot ep_slot, const Sel4Msg& reply_msg,
   machine_.enter_kernel();
   met_.sc_reply_recv.inc();
   TcbObj& self = current_tcb();
-  if (self.reply_to_tcb >= 0) {
-    const int caller_id = self.reply_to_tcb;
-    self.reply_to_tcb = -1;
-    TcbObj& caller = std::get<TcbObj>(obj(caller_id).payload);
-    if (caller.proc != nullptr && caller.waiting_reply_from >= 0) {
-      if (caller.recv_buf != nullptr) {
-        *caller.recv_buf = reply_msg;
-        caller.recv_buf->transfer_cap_slot = -1;
-      }
-      caller.waiting_reply_from = -1;
-      caller.ipc_status = Sel4Error::kOk;
-      reply_hop_span(current_tcb(), caller);
-      machine_.make_ready(caller.proc);
-    }
-  }
+  if (self.reply_to_tcb >= 0) deliver_reply(self, reply_msg);
   return do_recv(ep_slot, out, /*blocking=*/true);
 }
 

@@ -251,6 +251,10 @@ class Sel4Kernel {
   /// Record the server->caller reply as a zero-length flow span and hand
   /// its context to the caller.
   void reply_hop_span(TcbObj& server, TcbObj& caller);
+  /// Consume `server`'s pending one-time reply cap (reply_to_tcb >= 0)
+  /// and hand `msg` to the caller, which becomes ready. Returns the caller,
+  /// or nullptr if it died or stopped waiting (the reply is dropped).
+  TcbObj* deliver_reply(TcbObj& server, const Sel4Msg& msg);
   void transfer_cap_if_any(TcbObj& sender, TcbObj& receiver,
                            const Sel4Msg& msg, bool can_grant);
   Sel4Error do_send(Slot ep_slot, const Sel4Msg& msg, bool blocking,
