@@ -245,18 +245,29 @@ void LinuxKernel::exploit_escalate_to_root() {
 
 // ---- Permission checks ----
 
+namespace {
+
+/// The one DAC check behind every inode: queues, files and socket nodes.
+/// Root bypasses it entirely; otherwise the uid's ACL entry decides, and
+/// without one the owner or other bit does.
+bool dac_allows(Uid uid, Uid owner, const Mode& mode, bool write) {
+  if (uid == kRootUid) return true;
+  const auto acl_it = mode.acl.find(uid);
+  if (acl_it != mode.acl.end()) {
+    return write ? acl_it->second.second : acl_it->second.first;
+  }
+  if (uid == owner) return write ? mode.owner_write : mode.owner_read;
+  return write ? mode.other_write : mode.other_read;
+}
+
+}  // namespace
+
 bool LinuxKernel::may_read(const Task& t, const Node& n) const {
-  if (t.uid == kRootUid) return true;  // root bypasses DAC entirely
-  const auto acl_it = n.mode.acl.find(t.uid);
-  if (acl_it != n.mode.acl.end()) return acl_it->second.first;
-  return t.uid == n.owner ? n.mode.owner_read : n.mode.other_read;
+  return dac_allows(t.uid, n.owner, n.mode, /*write=*/false);
 }
 
 bool LinuxKernel::may_write(const Task& t, const Node& n) const {
-  if (t.uid == kRootUid) return true;
-  const auto acl_it = n.mode.acl.find(t.uid);
-  if (acl_it != n.mode.acl.end()) return acl_it->second.second;
-  return t.uid == n.owner ? n.mode.owner_write : n.mode.other_write;
+  return dac_allows(t.uid, n.owner, n.mode, /*write=*/true);
 }
 
 LinuxKernel::FileDesc* LinuxKernel::fd_of(Task& t, int fd) {
@@ -556,17 +567,7 @@ int LinuxKernel::sock_connect(const std::string& path) {
   std::shared_ptr<Listener> lst = it->second;
   // Connecting requires write permission on the socket node — the
   // protection the filesystem namespace offers (and abstract lacks).
-  const Mode& mode = lst->mode;
-  bool allowed = self.uid == kRootUid;
-  if (!allowed) {
-    const auto acl_it = mode.acl.find(self.uid);
-    if (acl_it != mode.acl.end()) {
-      allowed = acl_it->second.second;
-    } else {
-      allowed = self.uid == lst->owner ? mode.owner_write : mode.other_write;
-    }
-  }
-  if (!allowed) {
+  if (!dac_allows(self.uid, lst->owner, lst->mode, /*write=*/true)) {
     met_.perm_denied.inc();
     std::string detail = self.name + " denied on " + path;
     machine_.trace().emit(machine_.now(), self.pid,

@@ -4,8 +4,8 @@
 //    slips a disallowed (src, dst, type) through.
 //  * seL4: a random sequence of capability operations stays in exact
 //    agreement with a shadow model, and rights never amplify.
-//  * Linux: mq_open outcomes match the documented permission predicate
-//    for random uid/mode/ACL combinations.
+//  * Linux: mq_open and filesystem-socket connect outcomes match the
+//    documented permission predicate for random uid/mode/ACL combinations.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -413,17 +413,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UdsChaosFuzz,
 // Linux permission-predicate fuzz
 // ---------------------------------------------------------------------
 
-class LinuxPermFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+namespace {
 
-TEST_P(LinuxPermFuzz, MqOpenMatchesTheDocumentedPredicate) {
-  const std::uint64_t seed = GetParam();
-  sim::Rng rng(seed);
+/// A random owner, mode and ACL, and a random caller (root one time in
+/// six), with the documented DAC predicate over them.
+struct RandomDac {
+  lx::Uid owner;
+  lx::Mode mode;
+  lx::Uid caller;
 
-  for (int round = 0; round < 20; ++round) {
-    sim::Machine m(seed + static_cast<std::uint64_t>(round));
-    lx::LinuxKernel k(m);
-    const lx::Uid owner = 1000 + static_cast<int>(rng.next_below(4));
-    lx::Mode mode;
+  explicit RandomDac(sim::Rng& rng) {
+    owner = 1000 + static_cast<int>(rng.next_below(4));
     mode.owner_read = rng.next_below(2) == 1;
     mode.owner_write = rng.next_below(2) == 1;
     mode.other_read = rng.next_below(2) == 1;
@@ -433,34 +433,80 @@ TEST_P(LinuxPermFuzz, MqOpenMatchesTheDocumentedPredicate) {
       mode.grant(1000 + static_cast<int>(rng.next_below(6)),
                  rng.next_below(2) == 1, rng.next_below(2) == 1);
     }
-    const lx::Uid opener_uid =
-        rng.next_below(6) == 0 ? lx::kRootUid
-                               : 1000 + static_cast<int>(rng.next_below(6));
+    caller = rng.next_below(6) == 0
+                 ? lx::kRootUid
+                 : 1000 + static_cast<int>(rng.next_below(6));
+  }
 
-    auto expect_allowed = [&](lx::Uid uid) {
-      if (uid == lx::kRootUid) return true;
-      const auto it = mode.acl.find(uid);
-      if (it != mode.acl.end()) {
-        return it->second.first || it->second.second;
-      }
-      if (uid == owner) return mode.owner_read || mode.owner_write;
-      return mode.other_read || mode.other_write;
-    };
+  /// Root bypasses; else the caller's ACL entry; else owner or other bit.
+  bool allows(bool write) const {
+    if (caller == lx::kRootUid) return true;
+    const auto it = mode.acl.find(caller);
+    if (it != mode.acl.end()) {
+      return write ? it->second.second : it->second.first;
+    }
+    if (caller == owner) return write ? mode.owner_write : mode.owner_read;
+    return write ? mode.other_write : mode.other_read;
+  }
+};
 
+}  // namespace
+
+class LinuxPermFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LinuxPermFuzz, MqOpenMatchesTheDocumentedPredicate) {
+  const std::uint64_t seed = GetParam();
+  sim::Rng rng(seed);
+
+  for (int round = 0; round < 20; ++round) {
+    sim::Machine m(seed + static_cast<std::uint64_t>(round));
+    lx::LinuxKernel k(m);
+    const RandomDac dac(rng);
     int fd = -99;
-    k.spawn_process("owner", owner, [&] {
-      const int f = k.mq_open("/q", true, mode);
+    k.spawn_process("owner", dac.owner, [&] {
+      const int f = k.mq_open("/q", true, dac.mode);
       ASSERT_GE(f, 0);  // creation always succeeds for the creator
       m.sleep_for(sim::sec(1));
     });
-    k.spawn_process("opener", opener_uid, [&] {
+    k.spawn_process("opener", dac.caller, [&] {
       m.sleep_for(sim::msec(1));
       fd = k.mq_open("/q", false);
     });
     m.run_until(sim::sec(2));
     const bool allowed = fd >= 0;
-    ASSERT_EQ(allowed, expect_allowed(opener_uid))
-        << "round " << round << " uid " << opener_uid << " owner " << owner;
+    ASSERT_EQ(allowed, dac.allows(false) || dac.allows(true))
+        << "round " << round << " uid " << dac.caller << " owner "
+        << dac.owner;
+  }
+}
+
+// Connecting to a filesystem socket is the same DAC check as opening a
+// node for writing: same owner, mode and ACL, same verdict.
+TEST_P(LinuxPermFuzz, SockConnectMatchesTheWritePredicate) {
+  const std::uint64_t seed = GetParam();
+  sim::Rng rng(seed ^ 0x50C);
+
+  for (int round = 0; round < 20; ++round) {
+    sim::Machine m(seed + static_cast<std::uint64_t>(round));
+    lx::LinuxKernel k(m);
+    const RandomDac dac(rng);
+    int fd = -99;
+    k.spawn_process("server", dac.owner, [&] {
+      const int s = k.sock_socket();
+      ASSERT_EQ(k.sock_bind(s, "/run/s.sock", dac.mode), lx::Errno::kOk);
+      ASSERT_EQ(k.sock_listen(s), lx::Errno::kOk);
+      m.sleep_for(sim::sec(1));
+    });
+    k.spawn_process("client", dac.caller, [&] {
+      m.sleep_for(sim::msec(1));
+      fd = k.sock_connect("/run/s.sock");
+    });
+    m.run_until(sim::sec(2));
+    ASSERT_EQ(fd >= 0, dac.allows(true))
+        << "round " << round << " uid " << dac.caller << " owner "
+        << dac.owner << " fd " << fd;
+    ASSERT_EQ(m.trace().count_tag("uds.connect_deny"),
+              dac.allows(true) ? 0u : 1u);
   }
 }
 
