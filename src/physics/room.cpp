@@ -23,18 +23,6 @@ void RoomModel::step(sim::Duration dt, double heater_w, sim::Time now) {
   }
 }
 
-RoomModel::OutdoorProfile constant_outdoor(double temp_c) {
-  return make_profile(OutdoorSpec::constant(temp_c));
-}
-
-RoomModel::OutdoorProfile diurnal_outdoor(double mean_c, double swing_c) {
-  return make_profile(OutdoorSpec::diurnal(mean_c, swing_c));
-}
-
-RoomModel::OutdoorProfile make_profile(OutdoorSpec spec) {
-  return [spec](sim::Time t) { return spec.eval(t); };
-}
-
 std::size_t RoomBank::add(const RoomModel::Params& params,
                           OutdoorSpec outdoor) {
   cap_.push_back(params.capacitance_j_per_k);

@@ -66,7 +66,7 @@ TEST(PlantCoupler, IntegratesRoomAgainstHeaterState) {
   physics::RoomModel room({.capacitance_j_per_k = 1e5,
                            .loss_w_per_k = 100.0,
                            .initial_temp_c = 10.0});
-  room.set_outdoor_profile(physics::constant_outdoor(0.0));
+  room.set_outdoor(physics::OutdoorSpec::constant(0.0));
   devices::HeaterActuator heater(3000.0);
   devices::AlarmLed alarm;
   devices::PlantCoupler coupler(m, room, heater, alarm);
@@ -88,7 +88,7 @@ TEST(PlantCoupler, HeaterOffMeansCooling) {
   physics::RoomModel room({.capacitance_j_per_k = 1e5,
                            .loss_w_per_k = 100.0,
                            .initial_temp_c = 25.0});
-  room.set_outdoor_profile(physics::constant_outdoor(5.0));
+  room.set_outdoor(physics::OutdoorSpec::constant(5.0));
   devices::HeaterActuator heater;
   devices::AlarmLed alarm;
   devices::PlantCoupler coupler(m, room, heater, alarm);
