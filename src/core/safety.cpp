@@ -7,9 +7,17 @@ namespace mkbas::core {
 
 namespace {
 
-/// Piecewise-constant setpoint reconstructed from the trace.
+/// Piecewise-constant setpoint reconstructed from the trace: the initial
+/// value at t=0, then one step per accepted "ctl.setpoint" event. Steps
+/// stay in emit order, which is time order (the controller stamps each
+/// with its machine's clock), so one binary search finds any sample's.
 class SetpointTimeline {
  public:
+  struct Step {
+    sim::Time when = 0;
+    double value = 0.0;
+  };
+
   SetpointTimeline(const sim::TraceLog& trace, double initial) {
     steps_.push_back({0, initial});
     // Compare interned ids, not strings: this runs over every trace event.
@@ -18,26 +26,18 @@ class SetpointTimeline {
       if (ev.tag == tag) steps_.push_back({ev.time, ev.value});
     }
   }
-  double at(sim::Time t) const {
-    double sp = steps_.front().second;
-    for (const auto& [when, value] : steps_) {
-      if (when > t) break;
-      sp = value;
-    }
-    return sp;
-  }
-  /// Time of the latest setpoint change at or before t.
-  sim::Time last_change_before(sim::Time t) const {
-    sim::Time r = 0;
-    for (const auto& [when, value] : steps_) {
-      if (when > t) break;
-      r = when;
-    }
-    return r;
+  /// The step in effect at t: the last one at or before t (the initial
+  /// step if t precedes them all). Its value is the setpoint at t, its
+  /// time that of the latest change at or before t.
+  const Step& at(sim::Time t) const {
+    const auto after = std::upper_bound(
+        steps_.begin(), steps_.end(), t,
+        [](sim::Time x, const Step& s) { return x < s.when; });
+    return after == steps_.begin() ? steps_.front() : *(after - 1);
   }
 
  private:
-  std::vector<std::pair<sim::Time, double>> steps_;
+  std::vector<Step> steps_;
 };
 
 }  // namespace
@@ -86,11 +86,11 @@ SafetyReport check_safety(const std::vector<devices::PlantSample>& history,
   for (const auto& s : history) {
     report.min_temp_c = std::min(report.min_temp_c, s.true_temp_c);
     report.max_temp_c = std::max(report.max_temp_c, s.true_temp_c);
-    const double sp = setpoints.at(s.time);
-    const double dev = std::abs(s.true_temp_c - sp);
+    const SetpointTimeline::Step& step = setpoints.at(s.time);
+    const double dev = std::abs(s.true_temp_c - step.value);
     const bool out = dev > cfg.alarm_tolerance_c;
     const bool far_out = dev > cfg.alarm_tolerance_c + kExcursionMargin;
-    const sim::Time since_change = s.time - setpoints.last_change_before(s.time);
+    const sim::Time since_change = s.time - step.when;
     // Settling exemption covers both boot (change at t=0) and operator
     // setpoint steps: the plant legitimately spends time out of band
     // while slewing to a new target.
