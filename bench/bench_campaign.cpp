@@ -11,7 +11,9 @@
 // messages/sec is the machine-independent signal; speedup is only
 // meaningful when the core count matches the baseline's).
 //
-// The last stdout line is the JSON summary.
+// The last stdout line is the JSON summary. `seq_reduce_s`/`par_reduce_s`
+// are each run's CampaignResult::reduce_seconds (last cell's end to the
+// end of the reduce), so the rest of a wall is the pool's.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,10 +48,11 @@ int main(int argc, char** argv) {
               cells.size(), seeds);
 
   const auto seq = core::run_campaign(cells, 1);
-  std::printf("sequential     : %.2f s wall\n", seq.wall_seconds);
+  std::printf("sequential     : %.2f s wall (%.3f s reduce)\n",
+              seq.wall_seconds, seq.reduce_seconds);
   const auto par = core::run_campaign(cells, jobs);
-  std::printf("--jobs %-8d: %.2f s wall, %llu steals\n", jobs,
-              par.wall_seconds,
+  std::printf("--jobs %-8d: %.2f s wall (%.3f s reduce), %llu steals\n",
+              jobs, par.wall_seconds, par.reduce_seconds,
               static_cast<unsigned long long>(par.steals));
 
   const bool deterministic = seq.summary_json() == par.summary_json();
@@ -81,11 +84,12 @@ int main(int argc, char** argv) {
       json, sizeof json,
       "{\"bench\":\"bench_campaign\",\"cells\":%zu,\"jobs\":%d,"
       "\"cores\":%u,\"seq_wall_s\":%.3f,\"par_wall_s\":%.3f,"
-      "\"speedup\":%.3f,\"steals\":%llu,\"messages\":%llu,"
+      "\"seq_reduce_s\":%.3f,\"par_reduce_s\":%.3f,\"speedup\":%.3f,\"steals\":%llu,\"messages\":%llu,"
       "\"msgs_per_sec_seq\":%.1f,\"msgs_per_sec_par\":%.1f,"
       "\"deterministic\":%s,\"merged_trace_hash\":\"%016llx\"}",
       cells.size(), jobs, std::thread::hardware_concurrency(),
-      seq.wall_seconds, par.wall_seconds, speedup,
+      seq.wall_seconds, par.wall_seconds, seq.reduce_seconds,
+      par.reduce_seconds, speedup,
       static_cast<unsigned long long>(par.steals),
       static_cast<unsigned long long>(messages), seq_rate, par_rate,
       deterministic ? "true" : "false",

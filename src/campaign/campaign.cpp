@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <chrono>
+#include <functional>
 
 #include "campaign/pool.hpp"
 #include "core/hash.hpp"
@@ -11,8 +12,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+double seconds_since(Clock::time_point t0,
+                     Clock::time_point t1 = Clock::now()) {
+  return std::chrono::duration<double>(t1 - t0).count();
 }
 
 /// The only kinds a campaign makes without its cells' snapshots: the
@@ -88,6 +90,68 @@ void reduce_part(const Part& part, bool render, std::string* json,
   part.write_json(w);
   *hash = w.hash();
   if (render) *json = w.take();
+}
+
+/// The cell-order reduction of `out->cells`, run as independent tasks on
+/// the campaign's pool (inline, in task order, with one worker): every
+/// part but spans folded, rendered or hashed, with the trace-hash chain;
+/// the merged spans' hash; and, only when `mask` asks for spans, their
+/// string. Both spans passes render straight from the cells' stores, so
+/// no merged SpanStore is built. Every task walks the slots in cell
+/// order — the one order every --jobs value shares — so the merged
+/// artifacts are byte-identical to sequential; tasks write disjoint
+/// fields of `out`.
+void reduce_cells(unsigned mask, campaign::WorkStealingPool& pool,
+                  CampaignResult* out) {
+  const auto asked = [mask](ArtifactKind k) {
+    return (mask & artifact_bit(k)) != 0;
+  };
+  std::vector<const obs::SpanStore*> span_stores;
+  for (const CellResult& r : out->cells) {
+    if (r.spans) span_stores.push_back(r.spans);
+  }
+  obs::TelemetryHashes& h = out->merged_hashes;
+  std::vector<std::function<void()>> tasks;
+  tasks.emplace_back([&] {
+    auto merged = std::make_shared<obs::Telemetry>();
+    std::uint64_t chain = 14695981039346656037ULL;
+    for (const CellResult& r : out->cells) {
+      if (const obs::Telemetry* t = r.telemetry.get()) {
+        merged->metrics.merge_from(t->metrics);
+        merged->audit.merge_from(t->audit);
+        merged->series.merge_from(t->series);
+        merged->health.merge_from(t->health);
+        merged->flight.merge_from(t->flight);
+      }
+      chain = fnv1a(hex64(r.trace_hash), chain);
+    }
+    out->merged_trace_hash = chain;
+    reduce_part(merged->metrics,
+                asked(ArtifactKind::kMetrics) || asked(ArtifactKind::kSummary),
+                &out->merged_metrics_json, &h.metrics);
+    reduce_part(merged->audit, asked(ArtifactKind::kAudit),
+                &out->merged_audit_json, &h.audit);
+    reduce_part(merged->series, asked(ArtifactKind::kSeries),
+                &out->merged_series_json, &h.series);
+    reduce_part(merged->health, asked(ArtifactKind::kHealth),
+                &out->merged_health_json, &h.health);
+    reduce_part(merged->flight, asked(ArtifactKind::kFlight),
+                &out->merged_flight_json, &h.flight);
+    out->telemetry = std::move(merged);
+  });
+  tasks.emplace_back([&] {
+    obs::JsonWriter w(obs::JsonWriter::kHash);
+    obs::write_spans_json(w, span_stores);
+    h.spans = w.hash();
+  });
+  if (asked(ArtifactKind::kSpans)) {
+    tasks.emplace_back([&] {
+      obs::JsonWriter w;
+      obs::write_spans_json(w, span_stores);
+      out->merged_spans_json = w.take();
+    });
+  }
+  pool.run(tasks.size(), [&](std::size_t i) { tasks[i](); });
 }
 
 /// One line per cell for summary_json, however long (a fabric cell lists
@@ -174,41 +238,15 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     // Slot i belongs to cell i: completion order never shows through.
     out.cells[i] = run_cell(cells[i], snapshot);
   });
+  const auto cells_done = Clock::now();
   out.steals = pool.steals();
   out.worker_profiles = pool.worker_profiles();
   out.cell_profiles = pool.task_profiles();
 
-  if (snapshot) {
-    // Reductions walk the slots in cell order — the one order every
-    // --jobs value shares — so merged artifacts are byte-identical to
-    // sequential.
-    auto merged = std::make_shared<obs::Telemetry>();
-    std::uint64_t chain = 14695981039346656037ULL;
-    for (const CellResult& r : out.cells) {
-      if (r.telemetry) merged->merge_from(*r.telemetry);
-      chain = fnv1a(hex64(r.trace_hash), chain);
-    }
-    out.merged_trace_hash = chain;
-    const auto asked = [mask](ArtifactKind k) {
-      return (mask & artifact_bit(k)) != 0;
-    };
-    obs::TelemetryHashes& h = out.merged_hashes;
-    reduce_part(merged->metrics,
-                asked(ArtifactKind::kMetrics) || asked(ArtifactKind::kSummary),
-                &out.merged_metrics_json, &h.metrics);
-    reduce_part(merged->spans, asked(ArtifactKind::kSpans),
-                &out.merged_spans_json, &h.spans);
-    reduce_part(merged->audit, asked(ArtifactKind::kAudit),
-                &out.merged_audit_json, &h.audit);
-    reduce_part(merged->series, asked(ArtifactKind::kSeries),
-                &out.merged_series_json, &h.series);
-    reduce_part(merged->health, asked(ArtifactKind::kHealth),
-                &out.merged_health_json, &h.health);
-    reduce_part(merged->flight, asked(ArtifactKind::kFlight),
-                &out.merged_flight_json, &h.flight);
-    out.telemetry = std::move(merged);
-  }
-  out.wall_seconds = seconds_since(t0);
+  if (snapshot) reduce_cells(mask, pool, &out);
+  const auto done = Clock::now();
+  out.reduce_seconds = seconds_since(cells_done, done);
+  out.wall_seconds = seconds_since(t0, done);
   return out;
 }
 
@@ -258,7 +296,8 @@ std::string CampaignResult::profile_json() const {
         .raw(",\"stolen\":").boolean(tp.stolen)
         .raw(",\"worker\":").num(tp.worker).put('}');
   }
-  w.raw("],\"jobs\":").num(jobs).raw(",\"schema_version\":")
+  w.raw("],\"jobs\":").num(jobs).raw(",\"reduce_seconds\":")
+      .num(reduce_seconds).raw(",\"schema_version\":")
       .num(obs::kSchemaVersion).raw(",\"steals\":").num(steals)
       .raw(",\"wall_seconds\":").num(wall_seconds).raw(",\"workers\":[");
   for (std::size_t i = 0; i < worker_profiles.size(); ++i) {

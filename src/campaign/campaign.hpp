@@ -24,9 +24,10 @@ namespace mkbas::core {
 /// in-flight cells (the only cross-thread state is the process-wide trace
 /// TagRegistry, whose interning order does not affect exported bytes).
 /// run_campaign therefore produces byte-identical results for any --jobs
-/// value: cells land in a slot indexed by their position, and every
-/// reduction (metrics merge, trace hash, summary JSON) walks the slots in
-/// cell order, never in completion order.
+/// value: cells land in a slot indexed by their position, and every task
+/// of the reduction (the fold with the trace-hash chain, the merged
+/// spans' hash, their string; side by side on the same pool) walks the
+/// slots in cell order, never in completion order, as summary_json does.
 
 enum class CellKind { kBenign, kAttack, kFault, kFabric };
 
@@ -88,8 +89,14 @@ struct CampaignResult {
   int jobs = 1;
   std::uint64_t steals = 0;      // work-stealing pool diagnostic
   double wall_seconds = 0.0;     // host wall-clock for the whole campaign
+  /// Host wall-clock from the last cell's end to the end of the reduce.
+  /// Diagnostic, like wall_seconds; never enters summary_json.
+  double reduce_seconds = 0.0;
   /// Per-cell telemetry folded in cell order — the order-deterministic
-  /// merge the --jobs identity tests diff. Null without snapshots.
+  /// merge the --jobs identity tests diff — holding every part but
+  /// spans: the merged spans are rendered and hashed straight from the
+  /// cells' stores (obs::write_spans_json), so `telemetry->spans` stays
+  /// empty. Null without snapshots.
   std::shared_ptr<const obs::Telemetry> telemetry;
   /// FNV-1a chain over the per-cell trace hashes, in cell order.
   std::uint64_t merged_trace_hash = 0;
@@ -119,9 +126,9 @@ struct CampaignResult {
   /// byte-identical summaries (the CI determinism gate diffs them).
   std::string summary_json() const;
 
-  /// Pool profile as JSON (jobs, steals, per-worker rows, per-cell
-  /// rows). Host wall time throughout — NOT deterministic, never
-  /// diffed; the --profile-out artifact.
+  /// Pool profile as JSON (jobs, steals, reduce_seconds, per-worker
+  /// rows, per-cell rows). Host wall time throughout — NOT
+  /// deterministic, never diffed; the --profile-out artifact.
   std::string profile_json() const;
   /// The same profile as Perfetto/Chrome trace lanes: one track per
   /// worker, one slice per cell (named after the cell), so a campaign's

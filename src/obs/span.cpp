@@ -273,22 +273,42 @@ std::string SpanStore::to_json() const {
 }
 
 void SpanStore::write_json(JsonWriter& w) const {
-  w.raw("{\"dropped\":").num(dropped_).raw(",\"schema_version\":")
+  const SpanStore* self = this;
+  write_spans_json(w, {&self, 1});
+}
+
+void write_spans_json(JsonWriter& w,
+                      std::span<const SpanStore* const> stores) {
+  std::uint64_t dropped = 0;
+  std::uint64_t abandoned = 0;
+  std::uint64_t begun = 0;
+  std::uint64_t ended = 0;
+  for (const SpanStore* store : stores) {
+    dropped += store->dropped();
+    abandoned += store->total_abandoned();
+    begun += store->total_begun();
+    ended += store->total_ended();
+  }
+  w.raw("{\"dropped\":").num(dropped).raw(",\"schema_version\":")
       .num(kSchemaVersion).raw(",\"spans\":[");
   bool first = true;
-  for (const Span& s : done_) {
-    if (!first) w.put(',');
-    first = false;
-    w.raw("{\"abandoned\":").boolean(s.abandoned).raw(",\"end\":").num(s.end)
-        .raw(",\"machine\":").num(s.machine).raw(",\"name\":").tag(s.name);
-    if (s.note != 0) w.raw(",\"note\":").tag(s.note);
-    w.raw(",\"parent\":\"").hex(s.parent_span).raw("\",\"pid\":").num(s.pid)
-        .raw(",\"span\":\"").hex(s.span_id).raw("\",\"start\":").num(s.start)
-        .raw(",\"trace\":\"").hex(s.trace_id).raw("\"}");
+  for (const SpanStore* store : stores) {
+    for (const Span& s : store->spans()) {
+      if (!first) w.put(',');
+      first = false;
+      w.raw("{\"abandoned\":").boolean(s.abandoned).raw(",\"end\":")
+          .num(s.end).raw(",\"machine\":").num(s.machine)
+          .raw(",\"name\":").tag(s.name);
+      if (s.note != 0) w.raw(",\"note\":").tag(s.note);
+      w.raw(",\"parent\":\"").hex(s.parent_span).raw("\",\"pid\":")
+          .num(s.pid).raw(",\"span\":\"").hex(s.span_id)
+          .raw("\",\"start\":").num(s.start).raw(",\"trace\":\"")
+          .hex(s.trace_id).raw("\"}");
+    }
   }
-  w.raw("],\"total_abandoned\":").num(total_abandoned_)
-      .raw(",\"total_begun\":").num(total_begun_)
-      .raw(",\"total_ended\":").num(total_ended_).put('}');
+  w.raw("],\"total_abandoned\":").num(abandoned)
+      .raw(",\"total_begun\":").num(begun)
+      .raw(",\"total_ended\":").num(ended).put('}');
 }
 
 // ---- AuditJournal ----

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -231,7 +232,7 @@ class SpanStore {
   /// {"dropped":..,"spans":[{"abandoned":..,"end":..,...}],...}.
   /// Ids render as fixed-width hex so diffs align.
   std::string to_json() const;
-  /// The same bytes into `w`'s sink.
+  /// The same bytes into `w`'s sink: write_spans_json of this store alone.
   void write_json(JsonWriter& w) const;
 
  private:
@@ -362,6 +363,14 @@ class SpanStore {
   /// causal index audit chains and the critical-path analyzer walk.
   LineageIndex lineage_;
 };
+
+/// The spans JSON of `stores` folded in order, rendered straight from the
+/// stores into `w`'s sink: the bytes that merge_from of each into an
+/// empty SpanStore, then write_json, would give (dropped and the totals
+/// summed, closed spans concatenated), without copying a span or its
+/// lineage. The campaign renders its merged spans this way.
+void write_spans_json(JsonWriter& w,
+                      std::span<const SpanStore* const> stores);
 
 /// One security-relevant decision with the causal chain that led to it,
 /// snapshotted at record time (so it survives ring eviction and

@@ -153,7 +153,11 @@ TEST(Campaign, CellHashesAreTheirPartsRenderedAndHashed) {
     EXPECT_EQ(h.flight, core::fnv1a(t.flight.to_json())) << c.name;
     EXPECT_GT(t.spans.spans().size(), 0u) << c.name;
   }
-  // The default mask renders every merged part.
+  // The default mask renders every merged part. Spans are rendered
+  // from the cells' stores, never folded into the merged telemetry.
+  ASSERT_TRUE(res.telemetry);
+  EXPECT_EQ(res.telemetry->spans.total_begun(), 0u);
+  EXPECT_EQ(res.telemetry->spans.size(), 0u);
   const mkbas::obs::TelemetryHashes& m = res.merged_hashes;
   EXPECT_EQ(m.metrics, core::fnv1a(res.merged_metrics_json));
   EXPECT_EQ(m.spans, core::fnv1a(res.merged_spans_json));

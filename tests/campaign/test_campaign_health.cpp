@@ -205,8 +205,13 @@ TEST(CampaignHealth, PoolProfileAttributesEveryCell) {
   for (const auto& wp : res.worker_profiles) executed += wp.executed;
   EXPECT_EQ(executed, cells.size());
 
+  // The reduce follows the last cell inside the campaign's wall.
+  EXPECT_GE(res.reduce_seconds, 0.0);
+  EXPECT_LE(res.reduce_seconds, res.wall_seconds);
+
   const std::string profile = res.profile_json();
   ASSERT_TRUE(jsonlite::valid(profile)) << profile;
+  EXPECT_NE(profile.find("\"reduce_seconds\":"), std::string::npos);
   EXPECT_NE(profile.find("\"schema_version\":"), std::string::npos);
   EXPECT_NE(profile.find("\"queue_depth\""), std::string::npos);
   EXPECT_NE(profile.find("fabric/flood/z3"), std::string::npos);

@@ -4,6 +4,7 @@
 // JSON contract.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,93 @@ TEST(SpanStore, MergeFoldsLineageAndAccountingInOrder) {
   // chain even though b's spans were minted elsewhere.
   EXPECT_EQ(m1.root_of(lb), rb);
   EXPECT_EQ(name_str(m1.name_of(ra)), "a.root");
+}
+
+/// A seeded random history on one store: scoped and flow spans, some
+/// closed with a note, some abandoned by a process's death, some left
+/// open; a ring capacity on some stores evicts (dropped() > 0), and some
+/// stores stay empty.
+obs::SpanStore& random_store(std::mt19937_64& rng, obs::SpanStore& s) {
+  s.set_machine(static_cast<int>(rng() % 4));
+  if (rng() % 3 == 0) s.set_capacity(1 + rng() % 8);
+  if (rng() % 5 == 0) return s;
+  const std::uint32_t names[] = {tag("op.a"), tag("op.b"), tag("hop.c")};
+  const std::uint32_t notes[] = {0, 0, tag("restart"), tag("note \"q\"")};
+  std::vector<std::uint64_t> flows;
+  std::vector<std::pair<int, std::uint64_t>> scoped;
+  sim::Time now = static_cast<sim::Time>(rng() % 100);
+  const int ops = static_cast<int>(rng() % 60);
+  for (int i = 0; i < ops; ++i) {
+    now += static_cast<sim::Time>(rng() % 7);
+    const int pid = static_cast<int>(rng() % 3);
+    switch (rng() % 6) {
+      case 0:
+      case 1:
+        scoped.emplace_back(pid, s.begin(pid, now, names[rng() % 3]));
+        break;
+      case 2:
+        flows.push_back(
+            s.begin_flow(pid, now, names[rng() % 3], s.current(pid)));
+        break;
+      case 3:
+        if (!scoped.empty()) {
+          const auto [owner, id] = scoped.back();
+          scoped.pop_back();
+          s.end(owner, now, id, notes[rng() % 4]);
+        }
+        break;
+      case 4:
+        if (!flows.empty()) {
+          s.end_flow(now, flows.back(), notes[rng() % 4]);
+          flows.pop_back();
+        }
+        break;
+      default:
+        if (rng() % 4 == 0) s.process_gone(pid, now);
+        break;
+    }
+  }
+  return s;
+}
+
+std::string spans_json_of(const std::vector<const obs::SpanStore*>& stores) {
+  obs::JsonWriter w;
+  obs::write_spans_json(w, stores);
+  return w.take();
+}
+
+TEST(SpanStore, ManyStoreJsonIsTheJsonOfTheirMerge) {
+  std::mt19937_64 rng(2017);
+  bool saw_dropped = false;
+  bool saw_abandoned = false;
+  bool saw_note = false;
+  bool saw_empty = false;
+  for (int c = 0; c < 200; ++c) {
+    std::vector<obs::SpanStore> stores(rng() % 7);
+    std::vector<const obs::SpanStore*> ptrs;
+    obs::SpanStore merged;
+    for (obs::SpanStore& s : stores) {
+      merged.merge_from(random_store(rng, s));
+      ptrs.push_back(&s);
+      saw_dropped |= s.dropped() > 0;
+      saw_abandoned |= s.total_abandoned() > 0;
+      saw_empty |= s.total_begun() == 0;
+      for (const obs::Span& sp : s.spans()) saw_note |= sp.note != 0;
+      EXPECT_EQ(spans_json_of({&s}), s.to_json()) << "case " << c;
+    }
+    const std::string json = spans_json_of(ptrs);
+    EXPECT_EQ(json, merged.to_json()) << "case " << c;
+    EXPECT_TRUE(jsonlite::valid(json)) << "case " << c;
+    obs::JsonWriter hash(obs::JsonWriter::kHash);
+    obs::write_spans_json(hash, ptrs);
+    obs::Fnv1a fnv;
+    fnv.update(json.data(), json.size());
+    EXPECT_EQ(hash.hash(), fnv.value()) << "case " << c;
+  }
+  EXPECT_TRUE(saw_dropped);
+  EXPECT_TRUE(saw_abandoned);
+  EXPECT_TRUE(saw_note);
+  EXPECT_TRUE(saw_empty);
 }
 
 TEST(AuditJournal, SnapshotsTheCausalChainAtRecordTime) {
